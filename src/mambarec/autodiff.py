@@ -20,13 +20,12 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ConfigError, ContractError, NumericError, ShapeError
+from .errors import ConfigError, ContractError, ShapeError
 
 __all__ = [
     "Tensor",
     "Tape",
     "no_grad",
-    "backward",
     "add",
     "sub",
     "mul",
@@ -51,7 +50,6 @@ __all__ = [
     "conv1d_depthwise",
     "layernorm",
     "softmax_cross_entropy",
-    "assert_finite",
 ]
 
 _FLOAT_DTYPES = (np.float32, np.float64)
@@ -64,7 +62,7 @@ class Tensor:
     is either ``None`` or an array of identical shape and dtype.
     """
 
-    __slots__ = ("data", "requires_grad", "grad", "_tape")
+    __slots__ = ("data", "requires_grad", "grad")
 
     def __init__(self, data, requires_grad: bool = False, dtype=None):
         arr = np.asarray(data, dtype=dtype)
@@ -75,7 +73,6 @@ class Tensor:
         self.data = arr
         self.requires_grad = bool(requires_grad)
         self.grad: np.ndarray | None = None
-        self._tape: "Tape | None" = None
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -117,11 +114,6 @@ class Tensor:
 
     def __neg__(self):
         return neg(self)
-
-    def __truediv__(self, other):
-        if isinstance(other, Tensor):
-            raise ContractError("tensor/tensor division is not part of the op surface")
-        return mul(self, 1.0 / float(other))
 
     def __matmul__(self, other):
         return matmul(self, other)
@@ -187,9 +179,9 @@ class Tape:
         """
         if not isinstance(loss, Tensor) or loss.data.shape != ():
             raise ContractError("backward requires a scalar tensor loss")
-        if loss._tape is not self:
-            raise ContractError("loss was not produced on this tape")
         produced = {id(rec.output) for rec in self._records}
+        if id(loss) not in produced:
+            raise ContractError("loss was not produced on this tape")
         pending: dict[int, np.ndarray] = {id(loss): np.ones((), dtype=loss.dtype)}
         for rec in reversed(self._records):
             out_grad = pending.pop(id(rec.output), None)
@@ -220,13 +212,6 @@ class no_grad:
         return False
 
 
-def backward(loss: Tensor) -> None:
-    """Run reverse-mode accumulation from ``loss`` over the tape that made it."""
-    if not isinstance(loss, Tensor) or loss._tape is None:
-        raise ContractError("loss was not recorded on a tape (wrap the forward pass in `with Tape():`)")
-    loss._tape.backward(loss)
-
-
 def _as_tensor(x, ref: Tensor | None = None) -> Tensor:
     if isinstance(x, Tensor):
         return x
@@ -239,7 +224,6 @@ def _make(out_data: np.ndarray, inputs: tuple[Tensor, ...], backward_fn) -> Tens
     tape = Tape.active()
     if tape is not None and any(t.requires_grad for t in inputs):
         out.requires_grad = True
-        out._tape = tape
         tape._records.append(_Record(inputs, out, backward_fn))
     return out
 
@@ -589,10 +573,3 @@ def softmax_cross_entropy(logits: Tensor, targets) -> Tensor:
         return (p * (g / n),)
 
     return _make(loss, (logits,), bwd)
-
-
-def assert_finite(t: Tensor, context: str) -> Tensor:
-    """Raise ``NumericError`` if any element of ``t`` is NaN/Inf; returns ``t``."""
-    if not np.isfinite(t.data).all():
-        raise NumericError(f"non-finite values in {context}")
-    return t

@@ -158,24 +158,32 @@ ABLATION_VARIANTS = (
 )
 
 
-def cmd_ablate(args: argparse.Namespace) -> int:
-    cfg = _resolve_config(args)
-    out = _out_dir(args)
+def _tabulate_variants(cfg: RunConfig, out: Path, column: str, variants, title: str, csv_name: str) -> int:
+    """Train and test-evaluate ``cfg`` under each ``(value, overrides)`` variant; one CSV row per variant.
+
+    ``title`` is the format string that labels each variant's stdout line.
+    """
     split = _load_split_arg(cfg)
     _echo_config(cfg, out)
+    path = out / csv_name
     rows = []
-    for name, flags in ABLATION_VARIANTS:
-        variant_cfg = cfg.replace(**flags)
+    for value, overrides in variants:
+        variant_cfg = cfg.replace(**overrides)
         result = train_model(variant_cfg, split)
         report = evaluate_split(result.params, variant_cfg, split, "test")
-        rows.append({"variant": name, **{f"{m}@10": report.get(m) for m in METRICS}})
-        print(f"{name:<10} {report.summary()}")
-    with open(out / "ablation.csv", "w", newline="", encoding="utf-8") as fh:
+        rows.append({column: value, **{f"{m}@10": report.get(m) for m in METRICS}})
+        print(f"{title.format(value)} {report.summary()}")
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
         writer.writeheader()
         writer.writerows(rows)
-    print(f"wrote {out / 'ablation.csv'}")
+    print(f"wrote {path}")
     return 0
+
+
+def cmd_ablate(args: argparse.Namespace) -> int:
+    cfg = _resolve_config(args)
+    return _tabulate_variants(cfg, _out_dir(args), "variant", ABLATION_VARIANTS, "{:<10}", "ablation.csv")
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
@@ -219,21 +227,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         raise ConfigError(f"bad --values list {args.values!r}") from err
     if not values:
         raise ConfigError("sweep needs at least one value")
-    split = _load_split_arg(cfg)
-    _echo_config(cfg, out)
-    rows = []
-    for value in values:
-        variant_cfg = cfg.replace(**{args.param: value})
-        result = train_model(variant_cfg, split)
-        report = evaluate_split(result.params, variant_cfg, split, "test")
-        rows.append({args.param: value, **{f"{m}@10": report.get(m) for m in METRICS}})
-        print(f"{args.param}={value}: {report.summary()}")
-    with open(out / "sweep.csv", "w", newline="", encoding="utf-8") as fh:
-        writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
-        writer.writeheader()
-        writer.writerows(rows)
-    print(f"wrote {out / 'sweep.csv'}")
-    return 0
+    variants = [(value, {args.param: value}) for value in values]
+    return _tabulate_variants(cfg, out, args.param, variants, args.param + "={}:", "sweep.csv")
 
 
 # ---------------------------------------------------------------------------

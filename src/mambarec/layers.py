@@ -9,7 +9,7 @@ tail region of each row; the last ``keep_last`` real items stay in place.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -89,8 +89,6 @@ class LayerOptions:
     no_flip: bool = False  # both directional blocks see the unflipped sequence
     no_gate: bool = False  # unweighted sum of the two directional outputs
     no_gru: bool = False  # drop the GRU branch; bidirectional output passes through
-    check_finite: bool = True
-    block_fn: object = field(default=None, repr=False)  # test seam; defaults to mamba_forward
 
     def __post_init__(self):
         if self.keep_last < 0:
@@ -232,14 +230,13 @@ def bidirectional_mamba(h: Tensor, lp: LayerParams, lengths: np.ndarray, opts: L
     parameters are shared; the gate of the flipped branch reads the flipped
     input.
     """
-    block = opts.block_fn if opts.block_fn is not None else mamba_forward
-    m_fwd = block(h, lp.mamba_fwd)
+    m_fwd = mamba_forward(h, lp.mamba_fwd)
     if opts.no_flip:
         h_rev = h
-        m_rev = block(h, lp.mamba_rev)
+        m_rev = mamba_forward(h, lp.mamba_rev)
     else:
         h_rev = partial_flip(h, lengths, opts.keep_last)
-        m_rev = partial_flip(block(h_rev, lp.mamba_rev), lengths, opts.keep_last)
+        m_rev = partial_flip(mamba_forward(h_rev, lp.mamba_rev), lengths, opts.keep_last)
     if opts.no_gate:
         return ad.add(m_fwd, m_rev)
     gated_fwd = ad.mul(dense_conv_gate(h, lp.gate), m_fwd)

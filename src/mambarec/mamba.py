@@ -93,21 +93,16 @@ def init_mamba_params(
     )
 
 
-def ssm_scan(
-    u: Tensor,
-    delta: Tensor,
-    A: Tensor,
-    B: Tensor,
-    C: Tensor,
-    D_skip: Tensor,
-    check_finite: bool = True,
-) -> Tensor:
-    """Left-to-right selective scan.
+def ssm_scan(u: Tensor, delta: Tensor, A: Tensor, B: Tensor, C: Tensor, D_skip: Tensor) -> Tensor:
+    """Left-to-right selective scan, recorded as one tape op.
 
     Discretizes per step as A_bar = exp(delta * A), B_bar = delta * B, then
     runs h_t = A_bar_t * h_{t-1} + B_bar_t * u_t and reads out
     y_t = sum_s C_t[s] * h_t[:, s] + D_skip * u_t. Shapes: u/delta [B, L, E*D],
     A [E*D, S], B/C [B, L, S], D_skip [E*D]. Sequential in L by contract.
+
+    Only a recorded call keeps the states (one [L, B, E*D, S] buffer); its
+    backward runs the adjoint recurrence right to left and recomputes A_bar.
     """
     if u.ndim != 3 or delta.shape != u.shape:
         raise ShapeError(f"ssm_scan: u {u.shape} and delta {delta.shape} must both be [B, L, E*D]")
@@ -116,40 +111,49 @@ def ssm_scan(
     if A.shape != (d_inner, d_state) or B.shape != (bsz, length, d_state) or C.shape != B.shape:
         raise ShapeError(f"ssm_scan: inconsistent shapes A={A.shape} B={B.shape} C={C.shape}")
 
-    tape = ad.Tape.active()
-    recording = tape is not None and any(t.requires_grad for t in (u, delta, A, B, C, D_skip))
+    inputs = (u, delta, A, B, C, D_skip)
+    uu, dd, a, bb, cc, dsk = (t.data for t in inputs)
+    recording = ad.Tape.active() is not None and any(t.requires_grad for t in inputs)
+    states = np.empty((length, bsz, d_inner, d_state), dtype=u.dtype) if recording else None
+    h = np.zeros((bsz, d_inner, d_state), dtype=u.dtype)
+    y = np.empty_like(uu)
+    for t in range(length):
+        dt_t = dd[:, t, :, None]
+        h = np.exp(dt_t * a) * h + (dt_t * uu[:, t, :, None]) * bb[:, t, None, :]
+        if not np.isfinite(h).all():
+            raise NumericError(f"ssm_scan: non-finite hidden state at step {t}")
+        if states is not None:
+            states[t] = h
+        y[:, t] = (h * cc[:, t, None, :]).sum(axis=-1)
 
-    h = Tensor(np.zeros((bsz, d_inner, d_state), dtype=u.dtype))
-    outputs = []
-    if recording:
-        # two big tape records instead of four small ones per step
-        delta4 = ad.reshape(delta, (bsz, length, d_inner, 1))
-        decay = ad.exp(ad.mul(delta4, A))  # [B, L, E*D, S]
-        drive = ad.mul(
-            ad.mul(delta4, ad.reshape(u, (bsz, length, d_inner, 1))),
-            ad.reshape(B, (bsz, length, 1, d_state)),
-        )  # [B, L, E*D, S]
-        for t in range(length):
-            h = ad.add(ad.mul(ad.select(decay, 1, t), h), ad.select(drive, 1, t))
-            if check_finite and not np.isfinite(h.data).all():
-                raise NumericError(f"ssm_scan: non-finite hidden state at step {t}")
-            c_t = ad.reshape(ad.select(C, 1, t), (bsz, 1, d_state))
-            outputs.append(ad.tsum(ad.mul(h, c_t), axis=-1))  # [B, E*D]
-    else:
-        # inference path: O(B*E*D*S) working set per step, no [B, L, E*D, S] buffers
-        a, dd, uu, bb, cc = A.data, delta.data, u.data, B.data, C.data
-        hs = h.data
-        for t in range(length):
+    def bwd(g):
+        gu = g * dsk
+        gdelta = np.empty_like(dd)
+        ga = np.zeros_like(a)
+        gb = np.empty_like(bb)
+        gc = np.empty_like(cc)
+        gh = np.zeros_like(h)
+        for t in range(length - 1, -1, -1):
             dt_t = dd[:, t, :, None]
-            hs = np.exp(dt_t * a) * hs + (dt_t * uu[:, t, :, None]) * bb[:, t, None, :]
-            if check_finite and not np.isfinite(hs).all():
-                raise NumericError(f"ssm_scan: non-finite hidden state at step {t}")
-            outputs.append(Tensor((hs * cc[:, t, None, :]).sum(axis=-1)))
-    y = ad.stack(outputs, axis=1)  # [B, L, E*D]
-    return ad.add(y, ad.mul(u, D_skip))
+            gy_t = g[:, t, :, None]
+            gh += gy_t * cc[:, t, None, :]  # gh_t = C_t gy_t + A_bar_{t+1} gh_{t+1}
+            gc[:, t] = (gy_t * states[t]).sum(axis=1)
+            gb[:, t] = (gh * (dt_t * uu[:, t, :, None])).sum(axis=1)
+            g_drive = (gh * bb[:, t, None, :]).sum(axis=-1)  # d/d(delta_t * u_t)
+            gu[:, t] += g_drive * dd[:, t]
+            gdelta[:, t] = g_drive * uu[:, t]
+            if t:  # h_{-1} = 0: A_bar_0 gets no gradient and gh stops at step 0
+                decay = np.exp(dt_t * a)
+                g_exp = gh * states[t - 1] * decay  # d/d(delta_t * A)
+                gdelta[:, t] += (g_exp * a).sum(axis=-1)
+                ga += (g_exp * dt_t).sum(axis=0)
+                gh *= decay
+        return gu, gdelta, ga, gb, gc, (g * uu).sum(axis=(0, 1))
+
+    return ad._make(y + uu * dsk, inputs, bwd)
 
 
-def mamba_forward(x: Tensor, p: MambaBlockParams, check_finite: bool = True) -> Tensor:
+def mamba_forward(x: Tensor, p: MambaBlockParams) -> Tensor:
     """Full block forward; shape-preserving [B, L, D] -> [B, L, D]."""
     if x.ndim != 3:
         raise ShapeError(f"mamba_forward expects [B, L, D], got {x.shape}")
@@ -170,6 +174,6 @@ def mamba_forward(x: Tensor, p: MambaBlockParams, check_finite: bool = True) -> 
     c_out = ad.narrow(dbc, -1, rank + d_state, d_state)
     a = ad.neg(ad.exp(p.A_log))  # strictly negative
 
-    y = ssm_scan(u, dt, a, b_in, c_out, p.D_skip, check_finite=check_finite)
+    y = ssm_scan(u, dt, a, b_in, c_out, p.D_skip)
     y = ad.mul(y, ad.silu(z))
     return ad.matmul(y, p.out_proj)

@@ -17,7 +17,7 @@ import numpy as np
 from .autodiff import Tape
 from .config import RunConfig
 from .data import SplitDataset, batch_iter
-from .errors import ConfigError, NumericError
+from .errors import ConfigError, DataError, NumericError
 from .metrics import EvalReport, grouped_report, rank_targets_batch
 from .model import ModelParams, batch_loss, init_model_params, layer_options, named_tensors, score
 
@@ -110,6 +110,8 @@ def evaluate_split(
     cutoffs=(10,),
 ) -> EvalReport:
     """Rank every held-out item over the full catalog and aggregate by group."""
+    if split.n_items != params.n_items:
+        raise DataError(f"split has {split.n_items} items but the model scores {params.n_items}")
     opts = layer_options(cfg)
     ranks: list[np.ndarray] = []
     groups: list[str] = []

@@ -1,13 +1,15 @@
 """Autodiff primitives: hand-checked point values, gradient oracles, tape behavior."""
 
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
 from helpers import check_grads, rand_tensor
 
 import mambarec.autodiff as ad
-from mambarec.autodiff import Tape, Tensor, backward
+from mambarec.autodiff import Tape, Tensor
 from mambarec.errors import ContractError, ShapeError
 
 
@@ -221,7 +223,25 @@ def test_backward_requires_a_tape():
     x = Tensor([1.0], requires_grad=True)
     loss = x.sum()  # no tape active
     with pytest.raises(ContractError):
-        backward(loss)
+        Tape().backward(loss)
+
+
+def test_tape_graph_is_freed_without_the_cycle_collector():
+    x = Tensor([1.0, 2.0], requires_grad=True)
+    gc.disable()
+    try:
+        for _ in range(2):  # the second step rebinds tape and loss
+            with Tape() as tape:
+                hidden = ad.tanh(ad.mul(x, 3.0))
+                loss = hidden.sum()
+            tape.backward(loss)
+            probe = weakref.ref(hidden.data)  # Tensor has __slots__; its buffer takes weakrefs
+            del hidden
+            assert probe() is not None  # the live tape still holds the step's graph
+        tape = loss = None
+        assert probe() is None
+    finally:
+        gc.enable()
 
 
 def test_no_grad_suppresses_recording():

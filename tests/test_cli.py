@@ -92,6 +92,19 @@ def test_eval_reproduces_training_metrics_bitwise(tmp_path, prepared):
     assert a == b
 
 
+@pytest.mark.parametrize("catalog", [6, 10], ids=["smaller", "larger"])
+def test_eval_on_a_split_with_another_catalog_is_data_error(tmp_path, prepared, capsys, catalog):
+    run = tmp_path / "run"
+    main(["train", "--out", str(run), "--data", str(prepared), *_tiny_args()])
+    tsv = _write_tsv(tmp_path / "other.tsv", catalog=catalog)
+    main(["prepare", "--out", str(tmp_path / "other"), "--data", str(tsv), "--min-len", "1", "--max-len", "7"])
+    capsys.readouterr()
+    rc = main(["eval", "--out", str(tmp_path / "ev"), "--checkpoint", str(run / "checkpoint.npz"),
+               "--data", str(tmp_path / "other" / "split.json")])
+    assert rc == 3
+    assert f"split has {catalog} items but the model scores 8" in capsys.readouterr().err
+
+
 def test_rerun_from_echoed_config_is_bitwise_identical(tmp_path, prepared):
     first = tmp_path / "first"
     main(["train", "--out", str(first), "--data", str(prepared), *_tiny_args()])
@@ -171,11 +184,12 @@ def _mini_model(no_flip=False, no_gate=False, no_gru=False):
     return cfg, params, batch
 
 
-def test_no_flip_feeds_both_blocks_the_same_tensor():
+def test_no_flip_feeds_both_blocks_the_same_tensor(monkeypatch):
     rng = np.random.default_rng(1)
     lp = init_layer_params(rng, 6, d_state=2, d_conv=2, dtype=np.float64)
     seen = []
-    opts = LayerOptions(keep_last=2, no_flip=True, block_fn=lambda x, p: seen.append(x) or x)
+    monkeypatch.setattr("mambarec.layers.mamba_forward", lambda x, p: seen.append(x) or x)
+    opts = LayerOptions(keep_last=2, no_flip=True)
     h = Tensor(rng.normal(size=(2, 5, 6)))
     bidirectional_mamba(h, lp, np.array([5, 3]), opts)
     assert len(seen) == 2 and seen[0] is seen[1] is h

@@ -1,10 +1,12 @@
 """Selective scan and block behavior against independent oracles."""
 
+from contextlib import nullcontext
+
 import numpy as np
 import pytest
 from helpers import check_grads, rand_tensor
 
-from mambarec.autodiff import Tensor
+from mambarec.autodiff import Tape, Tensor
 from mambarec.errors import NumericError, ShapeError
 from mambarec.mamba import dt_rank_for, init_mamba_params, mamba_forward, ssm_scan
 
@@ -125,16 +127,47 @@ def test_scan_shape_validation():
         )
 
 
+def _scan_inputs(rng, bsz=2, length=8, d_inner=3, d_state=4):
+    """Float64 scan inputs in the ranges the block produces: delta > 0, A < 0."""
+    return [
+        rand_tensor(rng, bsz, length, d_inner),
+        Tensor(np.abs(rng.normal(size=(bsz, length, d_inner))) + 0.05, requires_grad=True),
+        Tensor(-np.abs(rng.normal(size=(d_inner, d_state))) - 0.05, requires_grad=True),
+        rand_tensor(rng, bsz, length, d_state),
+        rand_tensor(rng, bsz, length, d_state),
+        rand_tensor(rng, d_inner),
+    ]
+
+
 @pytest.mark.filterwarnings("ignore:overflow")
-def test_scan_reports_step_of_blowup():
-    u = Tensor(np.full((1, 3, 1), 1e300))
+@pytest.mark.parametrize("taped", [False, True], ids=["untaped", "taped"])
+def test_scan_reports_step_of_blowup(taped):
+    u = Tensor(np.full((1, 3, 1), 1e300), requires_grad=taped)
     delta = Tensor(np.full((1, 3, 1), 1e300))
     a = Tensor([[-1e-9]])
     b = Tensor(np.full((1, 3, 1), 1e300))
     c = Tensor(np.ones((1, 3, 1)))
     d = Tensor(np.zeros(1))
-    with pytest.raises(NumericError, match="step 0"):
-        ssm_scan(u, delta, a, b, c, d)
+    with Tape() if taped else nullcontext():
+        with pytest.raises(NumericError, match="step 0"):
+            ssm_scan(u, delta, a, b, c, d)
+
+
+@pytest.mark.parametrize("length", [1, 8, 64])
+def test_recorded_scan_is_one_tape_record(length):
+    inputs = _scan_inputs(np.random.default_rng(12), length=length)
+    with Tape() as tape:
+        ssm_scan(*inputs)
+    assert len(tape) == 1
+
+
+@pytest.mark.parametrize("length", [1, 7])
+def test_scan_gradients_of_all_six_inputs(length):
+    rng = np.random.default_rng(13)
+    u, delta, a, b, c, d = inputs = _scan_inputs(rng, length=length)
+    w = Tensor(rng.normal(size=u.shape))
+    named = list(zip(("u", "delta", "A", "B", "C", "D_skip"), inputs))
+    check_grads(lambda: (ssm_scan(u, delta, a, b, c, d) * w).sum(), named, tol=1e-6)
 
 
 def test_zero_input_zero_bias_gives_zero_output():
