@@ -64,8 +64,8 @@ class Tensor:
 
     __slots__ = ("data", "requires_grad", "grad")
 
-    def __init__(self, data, requires_grad: bool = False, dtype=None):
-        arr = np.asarray(data, dtype=dtype)
+    def __init__(self, data, requires_grad: bool = False):
+        arr = np.asarray(data)
         if arr.dtype not in _FLOAT_DTYPES:
             arr = arr.astype(np.float64)
         if arr.ndim and not arr.flags.c_contiguous:
@@ -85,12 +85,6 @@ class Tensor:
     @property
     def dtype(self):
         return self.data.dtype
-
-    def item(self) -> float:
-        return float(self.data)
-
-    def zero_grad(self) -> None:
-        self.grad = None
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, dtype={self.dtype.name}, requires_grad={self.requires_grad})"
@@ -118,12 +112,11 @@ class Tensor:
     def __matmul__(self, other):
         return matmul(self, other)
 
-    def sum(self, axis=None, keepdims: bool = False):
-        return tsum(self, axis=axis, keepdims=keepdims)
+    def sum(self):
+        return tsum(self)
 
-    def mean(self, axis=None, keepdims: bool = False):
-        n = self.data.size if axis is None else self.shape[axis]
-        return mul(tsum(self, axis=axis, keepdims=keepdims), 1.0 / n)
+    def mean(self):
+        return mul(tsum(self), 1.0 / self.data.size)
 
     def reshape(self, *shape):
         if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
@@ -313,9 +306,9 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def _sigmoid_np(x: np.ndarray) -> np.ndarray:
-    # both where-branches evaluate, so silence the dead branch's inf/inf
-    with np.errstate(over="ignore", invalid="ignore"):
-        return np.where(x >= 0, 1.0 / (1.0 + np.exp(-x)), np.exp(x) / (1.0 + np.exp(x)))
+    # exp(-x) overflows to inf for very negative x, and 1 / (1 + inf) = 0 is the right limit
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-x))
 
 
 def sigmoid(a: Tensor) -> Tensor:
@@ -347,7 +340,7 @@ _GELU_K = 0.044715
 def gelu(a: Tensor) -> Tensor:
     """GELU in the tanh approximation (closed-form backward)."""
     x = a.data
-    inner = _GELU_C * (x + _GELU_K * x**3)
+    inner = _GELU_C * (x + _GELU_K * (x * x * x))
     t = np.tanh(inner)
     y = 0.5 * x * (1.0 + t)
 
@@ -372,16 +365,10 @@ def softplus(a: Tensor) -> Tensor:
 # reductions and shape ops
 
 
-def tsum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    out = a.data.sum(axis=axis, keepdims=keepdims)
-
-    def bwd(g):
-        if axis is None:
-            return (np.broadcast_to(g, a.shape).astype(a.dtype, copy=False),)
-        g_kept = g if keepdims else np.expand_dims(g, axis)
-        return (np.broadcast_to(g_kept, a.shape).astype(a.dtype, copy=False),)
-
-    return _make(np.asarray(out, dtype=a.dtype), (a,), bwd)
+def tsum(a: Tensor) -> Tensor:
+    """Sum over every axis to a scalar; the backward broadcasts the scalar gradient."""
+    out = np.asarray(a.data.sum(), dtype=a.dtype)
+    return _make(out, (a,), lambda g: (np.broadcast_to(g, a.shape).astype(a.dtype, copy=False),))
 
 
 def reshape(a: Tensor, shape) -> Tensor:
@@ -389,13 +376,20 @@ def reshape(a: Tensor, shape) -> Tensor:
     return _make(a.data.reshape(shape), (a,), lambda g: (g.reshape(a.shape),))
 
 
-def transpose(a: Tensor, axes: Sequence[int] | None = None) -> Tensor:
-    """Transpose; default swaps the last two axes."""
-    if axes is None:
-        axes = tuple(range(a.ndim - 2)) + (a.ndim - 1, a.ndim - 2)
-    axes = tuple(axes)
-    inv = np.argsort(axes)
-    return _make(a.data.transpose(axes), (a,), lambda g: (g.transpose(inv),))
+def transpose(a: Tensor) -> Tensor:
+    """Swap the last two axes."""
+    return _make(np.swapaxes(a.data, -1, -2), (a,), lambda g: (np.swapaxes(g, -1, -2),))
+
+
+def _zero_fill_backward(a: Tensor, idx):
+    """Backward of a basic-index read ``a.data[idx]``: the gradient lands in a zero array."""
+
+    def bwd(g):
+        full = np.zeros_like(a.data)
+        full[idx] = g
+        return (full,)
+
+    return bwd
 
 
 def narrow(a: Tensor, axis: int, start: int, size: int) -> Tensor:
@@ -404,13 +398,7 @@ def narrow(a: Tensor, axis: int, start: int, size: int) -> Tensor:
     if start < 0 or size < 0 or start + size > a.shape[axis]:
         raise ShapeError(f"narrow: [{start}:{start + size}] out of range for axis {axis} of {a.shape}")
     idx = tuple(slice(None) if d != axis else slice(start, start + size) for d in range(a.ndim))
-
-    def bwd(g):
-        full = np.zeros_like(a.data)
-        full[idx] = g
-        return (full,)
-
-    return _make(a.data[idx].copy(), (a,), bwd)
+    return _make(a.data[idx].copy(), (a,), _zero_fill_backward(a, idx))
 
 
 def concat(tensors: Sequence[Tensor], axis: int = -1) -> Tensor:
@@ -443,13 +431,7 @@ def select(a: Tensor, axis: int, index: int) -> Tensor:
     """Index one slice along ``axis``, dropping that axis."""
     out = np.take(a.data, index, axis=axis)
     idx = tuple(slice(None) if d != axis % a.ndim else index for d in range(a.ndim))
-
-    def bwd(g):
-        full = np.zeros_like(a.data)
-        full[idx] = g
-        return (full,)
-
-    return _make(out, (a,), bwd)
+    return _make(out, (a,), _zero_fill_backward(a, idx))
 
 
 def take_along_time(a: Tensor, index: np.ndarray) -> Tensor:
@@ -491,12 +473,12 @@ def embedding(table: Tensor, ids: np.ndarray) -> Tensor:
 # structured ops
 
 
-def conv1d_depthwise(x: Tensor, kernel: Tensor, bias: Tensor, causal: bool = True) -> Tensor:
-    """Per-channel 1-d convolution along axis 1 of ``x`` [B, L, D].
+def conv1d_depthwise(x: Tensor, kernel: Tensor, bias: Tensor) -> Tensor:
+    """Causal per-channel 1-d convolution along axis 1 of ``x`` [B, L, D].
 
-    ``kernel`` is [k, D]; tap ``k-1`` multiplies the current position. Causal
-    mode left-pads with k-1 zeros so the output never sees the future;
-    otherwise padding is centered. Output length equals input length.
+    ``kernel`` is [k, D]; tap ``k-1`` multiplies the current position. The
+    input is left-padded with k-1 zeros, so the output never sees the future
+    and has the input's length.
     """
     if x.ndim != 3:
         raise ShapeError(f"conv1d_depthwise expects [B, L, D], got {x.shape}")
@@ -506,9 +488,7 @@ def conv1d_depthwise(x: Tensor, kernel: Tensor, bias: Tensor, causal: bool = Tru
     if d != x.shape[2] or bias.shape != (d,):
         raise ShapeError(f"conv kernel/bias {kernel.shape}/{bias.shape} do not match input {x.shape}")
     _, length, _ = x.shape
-    left = k - 1 if causal else (k - 1) // 2
-    right = 0 if causal else k - 1 - left
-    xp = np.pad(x.data, ((0, 0), (left, right), (0, 0)))
+    xp = np.pad(x.data, ((0, 0), (k - 1, 0), (0, 0)))
     out = np.zeros_like(x.data)
     for j in range(k):
         out += xp[:, j : j + length, :] * kernel.data[j]
@@ -520,7 +500,7 @@ def conv1d_depthwise(x: Tensor, kernel: Tensor, bias: Tensor, causal: bool = Tru
         for j in range(k):
             gk[j] = (xp[:, j : j + length, :] * g).sum(axis=(0, 1))
             gxp[:, j : j + length, :] += kernel.data[j] * g
-        gx = gxp[:, left : left + length, :]
+        gx = gxp[:, k - 1 :, :]
         return gx, gk, g.sum(axis=(0, 1))
 
     return _make(out, (x, kernel, bias), bwd)

@@ -25,7 +25,6 @@ __all__ = [
     "LayerOptions",
     "init_layer_params",
     "flip_index",
-    "flip_sequence",
     "partial_flip",
     "dense_conv_gate",
     "conv_gru",
@@ -102,10 +101,9 @@ def init_layer_params(
     d_conv: int = 4,
     expand: int = 2,
     dtype=np.float32,
-    init_std: float = 0.02,
 ) -> LayerParams:
     def w(*shape):
-        return Tensor(rng.normal(0.0, init_std, size=shape).astype(dtype), requires_grad=True)
+        return Tensor(rng.normal(0.0, 0.02, size=shape).astype(dtype), requires_grad=True)
 
     def zeros(*shape):
         return Tensor(np.zeros(shape, dtype=dtype), requires_grad=True)
@@ -114,8 +112,8 @@ def init_layer_params(
         return Tensor(np.asarray(v, dtype=dtype), requires_grad=True)
 
     return LayerParams(
-        mamba_fwd=init_mamba_params(rng, dim, d_state, d_conv, expand, dtype, init_std),
-        mamba_rev=init_mamba_params(rng, dim, d_state, d_conv, expand, dtype, init_std),
+        mamba_fwd=init_mamba_params(rng, dim, d_state, d_conv, expand, dtype),
+        mamba_rev=init_mamba_params(rng, dim, d_state, d_conv, expand, dtype),
         gate=GateParams(
             pre_w=w(dim, dim),
             pre_b=zeros(dim),
@@ -172,12 +170,6 @@ def flip_index(true_len: int, keep_last: int, width: int) -> np.ndarray:
     return idx
 
 
-def flip_sequence(items: list, true_len: int, keep_last: int) -> list:
-    """Apply the partial flip to a plain python row (tests and documentation)."""
-    idx = flip_index(true_len, keep_last, len(items))
-    return [items[i] for i in idx]
-
-
 def partial_flip(x: Tensor, lengths: np.ndarray, keep_last: int) -> Tensor:
     """Partially flip each row of ``x`` [B, L, D] within its true-length region."""
     lengths = np.asarray(lengths)
@@ -195,7 +187,7 @@ def partial_flip(x: Tensor, lengths: np.ndarray, keep_last: int) -> Tensor:
 def dense_conv_gate(h: Tensor, p: GateParams) -> Tensor:
     """Input-dependent gate: feats = conv(h W + b); g = post-dense(feats);
     output SiLU(g) + sigmoid(g), elementwise over [B, L, D]."""
-    feats = ad.conv1d_depthwise(ad.add(ad.matmul(h, p.pre_w), p.pre_b), p.conv_kernel, p.conv_bias, causal=True)
+    feats = ad.conv1d_depthwise(ad.add(ad.matmul(h, p.pre_w), p.pre_b), p.conv_kernel, p.conv_bias)
     g = ad.add(ad.matmul(feats, p.post_w), p.post_b)
     return ad.add(ad.silu(g), ad.sigmoid(g))
 
@@ -207,7 +199,7 @@ def conv_gru(h: Tensor, p: ConvGruParams) -> Tensor:
     new state is update * state + (1 - update) * candidate.
     """
     bsz, length, dim = h.shape
-    c = ad.conv1d_depthwise(h, p.conv_kernel, p.conv_bias, causal=True)
+    c = ad.conv1d_depthwise(h, p.conv_kernel, p.conv_bias)
     state = Tensor(np.zeros((bsz, dim), dtype=h.dtype))
     outputs = []
     for t in range(length):
@@ -260,10 +252,13 @@ def encoder_layer(
     lp: LayerParams,
     lengths: np.ndarray,
     opts: LayerOptions,
-    train_mode: bool = False,
     rng: np.random.Generator | None = None,
 ) -> Tensor:
-    """One full layer: branch mix -> dense -> PFFN -> dropout -> norm(residual)."""
+    """One full layer: branch mix -> dense -> PFFN -> dropout -> norm(residual).
+
+    Dropout runs exactly when ``rng`` is given: the trainer passes its dropout
+    stream, and evaluation passes none.
+    """
     m = bidirectional_mamba(h_in, lp, lengths, opts)
     if opts.no_gru:
         mixed = m
@@ -274,9 +269,7 @@ def encoder_layer(
         ad.matmul(ad.gelu(ad.add(ad.matmul(mixed, lp.ff_in_w), lp.ff_in_b)), lp.ff_out_w),
         lp.ff_out_b,
     )
-    if train_mode and opts.dropout > 0.0:
-        if rng is None:
-            raise ConfigError("train-mode dropout needs an RNG")
+    if rng is not None:
         ff = dropout(ff, opts.dropout, rng)
     return ad.layernorm(ad.add(ff, h_in), lp.norm_gain, lp.norm_bias)
 
@@ -286,11 +279,10 @@ def encoder_stack(
     layers: list[LayerParams],
     lengths: np.ndarray,
     opts: LayerOptions,
-    train_mode: bool = False,
     rng: np.random.Generator | None = None,
 ) -> Tensor:
     if not layers:
         raise ConfigError("encoder_stack needs at least one layer")
     for lp in layers:
-        h = encoder_layer(h, lp, lengths, opts, train_mode=train_mode, rng=rng)
+        h = encoder_layer(h, lp, lengths, opts, rng=rng)
     return h

@@ -166,7 +166,7 @@ def mamba_forward(x: Tensor, p: MambaBlockParams) -> Tensor:
     u = ad.narrow(xz, -1, 0, d_inner)
     z = ad.narrow(xz, -1, d_inner, d_inner)
 
-    u = ad.silu(ad.conv1d_depthwise(u, p.conv_kernel, p.conv_bias, causal=True))
+    u = ad.silu(ad.conv1d_depthwise(u, p.conv_kernel, p.conv_bias))
 
     dbc = ad.matmul(u, p.x_proj)  # [B, L, rank + 2S]
     dt = ad.softplus(ad.add(ad.matmul(ad.narrow(dbc, -1, 0, rank), p.dt_proj), p.dt_bias))

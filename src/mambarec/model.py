@@ -111,26 +111,24 @@ def encode(
     params: ModelParams,
     batch,
     opts: LayerOptions,
-    train_mode: bool = False,
     rng: np.random.Generator | None = None,
 ) -> Tensor:
     """Embed a batch and run the encoder stack; returns [B, N, D]."""
     h = embed(params, batch.items)
-    return encoder_stack(h, params.layers, batch.lengths, opts, train_mode=train_mode, rng=rng)
+    return encoder_stack(h, params.layers, batch.lengths, opts, rng=rng)
 
 
 def score(
     params: ModelParams,
     batch,
     opts: LayerOptions,
-    train_mode: bool = False,
     rng: np.random.Generator | None = None,
 ) -> Tensor:
     """Logits [B, K] over the K real items (column j scores item id j + 1).
 
     The padding row is excluded, so it can never be ranked or targeted.
     """
-    h = encode(params, batch, opts, train_mode=train_mode, rng=rng)
+    h = encode(params, batch, opts, rng=rng)
     rep = ad.select(h, 1, h.shape[1] - 1)  # [B, D]; left-padding puts the newest item last
     table = params.embedding if params.out_embedding is None else params.out_embedding
     items = ad.narrow(table, 0, 1, table.shape[0] - 1)  # drop padding row
@@ -141,14 +139,13 @@ def batch_loss(
     params: ModelParams,
     batch,
     opts: LayerOptions,
-    train_mode: bool = False,
     rng: np.random.Generator | None = None,
 ) -> Tensor:
     """Mean full-catalog cross entropy of the held-out next items."""
     targets = np.asarray(batch.targets)
     if targets.size and targets.min() < 1:
         raise ContractError("targets must be real item ids (>= 1)")
-    logits = score(params, batch, opts, train_mode=train_mode, rng=rng)
+    logits = score(params, batch, opts, rng=rng)
     return ad.softmax_cross_entropy(logits, targets - 1)
 
 
@@ -161,14 +158,16 @@ def save_checkpoint(path, params: ModelParams, config_dict: dict) -> None:
     arrays = {f"param:{name}": t.data for name, t in named_tensors(params)}
     arrays["__format__"] = np.array(CHECKPOINT_FORMAT)
     arrays["__config__"] = np.array(json.dumps(config_dict, sort_keys=True))
-    arrays["__n_layers__"] = np.array(len(params.layers))
-    arrays["__untied__"] = np.array(int(params.out_embedding is not None))
     with open(path, "wb") as fh:
         np.savez(fh, **arrays)
 
 
 def load_checkpoint(path) -> tuple[ModelParams, dict]:
-    """Rebuild params and the stored config from a checkpoint file."""
+    """Rebuild params and the stored config from a checkpoint file.
+
+    The file must hold exactly the parameters its config builds, each with the
+    built shape; anything else is a ``ConfigError`` that names the difference.
+    """
     with np.load(path, allow_pickle=False) as blob:
         if str(blob["__format__"]) != CHECKPOINT_FORMAT:
             raise ConfigError(f"unrecognized checkpoint format in {path}")
@@ -179,9 +178,15 @@ def load_checkpoint(path) -> tuple[ModelParams, dict]:
     cfg = RunConfig.from_dict(config_dict)
     n_items = stored["embedding"].shape[0] - 1
     params = init_model_params(cfg, n_items, np.random.default_rng(0))
-    for name, t in named_tensors(params):
-        if name not in stored:
-            raise ConfigError(f"checkpoint missing parameter {name}")
+    named = dict(named_tensors(params))
+    missing = sorted(named.keys() - stored.keys())
+    unexpected = sorted(stored.keys() - named.keys())
+    if missing or unexpected:
+        raise ConfigError(
+            f"checkpoint {path} does not match its config: missing parameters {missing}, "
+            f"unexpected parameters {unexpected}"
+        )
+    for name, t in named.items():
         if stored[name].shape != t.data.shape:
             raise ConfigError(f"checkpoint shape mismatch for {name}")
         t.data = stored[name].copy()

@@ -26,17 +26,19 @@ __all__ = ["Adam", "TrainResult", "train_model", "evaluate_split", "seeded_rngs"
 logger = logging.getLogger(__name__)
 
 
-class Adam:
-    """Adam with bias correction: theta -= lr * m_hat / (sqrt(v_hat) + eps)."""
+BETA1 = 0.9
+BETA2 = 0.999
+EPS = 1e-8
 
-    def __init__(self, named_params, lr=0.001, beta1=0.9, beta2=0.999, eps=1e-8, grad_clip=0.0):
+
+class Adam:
+    """Adam with bias correction: theta -= lr * m_hat / (sqrt(v_hat) + EPS)."""
+
+    def __init__(self, named_params, lr=0.001, grad_clip=0.0):
         self.params = list(named_params)
         if not self.params:
             raise ConfigError("optimizer needs at least one parameter")
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.grad_clip = grad_clip
         self.step_count = 0
         self.m = [np.zeros_like(t.data) for _, t in self.params]
@@ -59,17 +61,17 @@ class Adam:
                     if t.grad is not None:
                         t.grad *= scale
         self.step_count += 1
-        c1 = 1.0 - self.beta1**self.step_count
-        c2 = 1.0 - self.beta2**self.step_count
+        c1 = 1.0 - BETA1**self.step_count
+        c2 = 1.0 - BETA2**self.step_count
         for i, (_, t) in enumerate(self.params):
             g = t.grad
             if g is None:
                 g = 0.0
-            self.m[i] = self.beta1 * self.m[i] + (1.0 - self.beta1) * g
-            self.v[i] = self.beta2 * self.v[i] + (1.0 - self.beta2) * np.square(g)
+            self.m[i] = BETA1 * self.m[i] + (1.0 - BETA1) * g
+            self.v[i] = BETA2 * self.v[i] + (1.0 - BETA2) * np.square(g)
             m_hat = self.m[i] / c1
             v_hat = self.v[i] / c2
-            t.data -= (self.lr * m_hat / (np.sqrt(v_hat) + self.eps)).astype(t.dtype, copy=False)
+            t.data -= (self.lr * m_hat / (np.sqrt(v_hat) + EPS)).astype(t.dtype, copy=False)
 
     def zero_grad(self) -> None:
         for _, t in self.params:
@@ -116,7 +118,7 @@ def evaluate_split(
     ranks: list[np.ndarray] = []
     groups: list[str] = []
     for batch in batch_iter(split, which, cfg.batch_size, shuffle_seed=None):
-        logits = score(params, batch, opts, train_mode=False)
+        logits = score(params, batch, opts)
         ranks.append(rank_targets_batch(logits.data, batch.targets - 1))
         groups.extend(split.groups[int(u)] for u in batch.users)
     all_ranks = np.concatenate(ranks) if ranks else np.zeros(0, dtype=np.int64)
@@ -152,7 +154,7 @@ def train_model(cfg: RunConfig, split: SplitDataset, params: ModelParams | None 
         losses = []
         for step, batch in enumerate(batch_iter(split, "train", cfg.batch_size, shuffle_seed)):
             with Tape() as tape:
-                loss = batch_loss(params, batch, opts, train_mode=True, rng=rngs["dropout"])
+                loss = batch_loss(params, batch, opts, rng=rngs["dropout"])
             if not np.isfinite(loss.data):
                 raise NumericError(f"loss became non-finite at epoch {epoch}, batch {step}, lr {cfg.lr}")
             opt.zero_grad()

@@ -92,13 +92,13 @@ def test_conv1d_identity_kernel():
 
 def test_conv1d_hand_unrolled():
     x = Tensor(np.array([[[1.0], [2.0], [3.0]]]))
-    out = ad.conv1d_depthwise(x, Tensor([[1.0], [1.0]]), Tensor([0.0]), causal=True)
+    out = ad.conv1d_depthwise(x, Tensor([[1.0], [1.0]]), Tensor([0.0]))
     assert out.data.ravel().tolist() == [1.0, 3.0, 5.0]
 
 
 def test_conv1d_kernel_wider_than_sequence():
     x = Tensor(np.ones((1, 2, 1)))
-    out = ad.conv1d_depthwise(x, Tensor(np.ones((5, 1))), Tensor(np.zeros(1)), causal=True)
+    out = ad.conv1d_depthwise(x, Tensor(np.ones((5, 1))), Tensor(np.zeros(1)))
     # padding covers the missing history: [1, 2] cumulative sums
     assert out.data.ravel().tolist() == [1.0, 2.0]
 

@@ -10,7 +10,7 @@ from mambarec.cli import main
 from mambarec.config import RunConfig
 from mambarec.data import Interaction, InteractionSequence, make_batch, split_leave_one_out
 from mambarec.layers import LayerOptions, bidirectional_mamba, init_layer_params
-from mambarec.model import batch_loss, init_model_params, layer_options, named_tensors
+from mambarec.model import batch_loss, init_model_params, layer_options, named_tensors, save_checkpoint
 
 
 def _write_tsv(path, n_users=14, catalog=8, length=7):
@@ -103,6 +103,18 @@ def test_eval_on_a_split_with_another_catalog_is_data_error(tmp_path, prepared, 
                "--data", str(tmp_path / "other" / "split.json")])
     assert rc == 3
     assert f"split has {catalog} items but the model scores 8" in capsys.readouterr().err
+
+
+def test_eval_on_a_checkpoint_that_disagrees_with_its_config_is_config_error(tmp_path, prepared, capsys):
+    cfg = RunConfig(dim=8, d_state=2, conv_width=2, max_len=7, min_len=1, data=str(prepared))
+    ckpt = tmp_path / "ckpt.npz"
+    params = init_model_params(cfg.replace(n_layers=2), 8, np.random.default_rng(0))
+    save_checkpoint(ckpt, params, cfg.replace(n_layers=1).to_dict())
+    rc = main(["eval", "--out", str(tmp_path / "ev"), "--checkpoint", str(ckpt)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "does not match its config" in err and "'layers.1." in err
+    assert "Traceback" not in err
 
 
 def test_rerun_from_echoed_config_is_bitwise_identical(tmp_path, prepared):

@@ -18,7 +18,6 @@ from mambarec.layers import (
     encoder_layer,
     encoder_stack,
     flip_index,
-    flip_sequence,
     init_layer_params,
     partial_flip,
 )
@@ -28,6 +27,11 @@ from mambarec.model import named_tensors
 
 def _sigmoid(x):
     return 1.0 / (1.0 + np.exp(-x))
+
+
+def flip_sequence(items: list, true_len: int, keep_last: int) -> list:
+    """Apply the partial flip to a plain python row."""
+    return [items[i] for i in flip_index(true_len, keep_last, len(items))]
 
 
 # ---------------------------------------------------------------------------
@@ -362,6 +366,20 @@ def test_dropout_scales_and_masks():
     assert 0.45 < (out.data != 0).mean() < 0.75
     same = dropout(x, 0.0, np.random.default_rng(0))
     assert same is x
+
+
+def test_encoder_dropout_runs_exactly_when_given_an_rng():
+    rng = np.random.default_rng(16)
+    lp = _layer(rng)
+    h = Tensor(rng.normal(size=(2, 5, 6)))
+    lens = np.array([5, 3])
+    drop = LayerOptions(keep_last=2, dropout=0.3)
+    no_rng = encoder_layer(h, lp, lens, drop).data
+    assert np.array_equal(no_rng, encoder_layer(h, lp, lens, LayerOptions(keep_last=2, dropout=0.0)).data)
+    first = encoder_layer(h, lp, lens, drop, rng=np.random.default_rng(5)).data
+    again = encoder_layer(h, lp, lens, drop, rng=np.random.default_rng(5)).data
+    assert np.array_equal(first, again)
+    assert not np.array_equal(first, no_rng)
 
 
 def test_full_layer_gradients():

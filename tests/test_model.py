@@ -10,7 +10,7 @@ import mambarec.autodiff as ad
 from mambarec.autodiff import Tensor
 from mambarec.config import RunConfig
 from mambarec.data import Batch, Interaction, InteractionSequence, make_batch, split_leave_one_out
-from mambarec.errors import ContractError
+from mambarec.errors import ConfigError, ContractError
 from mambarec.metrics import rank_targets_batch
 from mambarec.model import (
     batch_loss,
@@ -211,3 +211,39 @@ def test_checkpoint_roundtrip_untied(tmp_path):
     loaded, _ = load_checkpoint(path)
     assert loaded.out_embedding is not None
     assert np.array_equal(loaded.out_embedding.data, params.out_embedding.data)
+
+
+def test_checkpoint_with_more_layers_than_its_config_is_rejected(tmp_path):
+    params = init_model_params(_cfg(n_layers=2), n_items=4, rng=np.random.default_rng(15))
+    path = tmp_path / "ckpt.npz"
+    save_checkpoint(path, params, _cfg(n_layers=1).to_dict())
+    with pytest.raises(ConfigError, match=r"unexpected parameters \['layers\.1\."):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("stored_tied", [False, True], ids=["untied-file", "tied-file"])
+def test_checkpoint_whose_output_table_disagrees_with_tie_output_is_rejected(tmp_path, stored_tied):
+    params = init_model_params(_cfg(tie_output=stored_tied), n_items=4, rng=np.random.default_rng(16))
+    path = tmp_path / "ckpt.npz"
+    save_checkpoint(path, params, _cfg(tie_output=not stored_tied).to_dict())
+    side = "missing" if stored_tied else "unexpected"
+    with pytest.raises(ConfigError, match=rf"{side} parameters \['out_embedding'\]"):
+        load_checkpoint(path)
+
+
+def test_checkpoint_with_legacy_layout_keys_still_loads(tmp_path):
+    cfg = _cfg(n_layers=2, tie_output=False)
+    params = init_model_params(cfg, n_items=5, rng=np.random.default_rng(17))
+    path = tmp_path / "ckpt.npz"
+    save_checkpoint(path, params, cfg.to_dict())
+    with np.load(path) as blob:
+        arrays = {k: blob[k] for k in blob.files}
+    arrays["__n_layers__"] = np.array(2)
+    arrays["__untied__"] = np.array(1)
+    with open(path, "wb") as fh:
+        np.savez(fh, **arrays)
+    loaded, cfg_dict = load_checkpoint(path)
+    assert cfg_dict == cfg.to_dict()
+    for (name_a, a), (name_b, b) in zip(named_tensors(params), named_tensors(loaded), strict=True):
+        assert name_a == name_b
+        assert np.array_equal(a.data, b.data), name_a
