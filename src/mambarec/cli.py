@@ -2,7 +2,8 @@
 
 Every command takes an optional JSON config file plus flag overrides, writes
 the fully resolved config next to its outputs, and exits 0 on success or a
-categorized nonzero code (2 config, 3 data, 4 numeric, 5 contract, 1 other).
+categorized nonzero code (2 config, 3 data or an unreadable file, 4 numeric,
+5 contract, 1 other).
 """
 
 from __future__ import annotations
@@ -283,7 +284,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_EXIT_CODES = ((ConfigError, 2), (DataError, 3), (NumericError, 4), (ContractError, 5), (MambaRecError, 5))
+_EXIT_CODES = (
+    (ConfigError, 2),
+    (DataError, 3),
+    (OSError, 3),
+    (NumericError, 4),
+    (ContractError, 5),
+    (MambaRecError, 5),
+)
 
 
 def main(argv=None) -> int:

@@ -16,7 +16,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import ConfigError, ShapeError
-from .mamba import MambaBlockParams, init_mamba_params, mamba_forward
+from .mamba import MambaBlockParams, flush_negligible, init_mamba_params, mamba_forward
 
 __all__ = [
     "GateParams",
@@ -196,22 +196,63 @@ def conv_gru(h: Tensor, p: ConvGruParams) -> Tensor:
     """Causal depthwise conv followed by a GRU over the conv features.
 
     State starts at zero. Gates read the concatenation [state, conv_t]; the
-    new state is update * state + (1 - update) * candidate.
+    new state is update * state + (1 - update) * candidate. The conv is one
+    tape record and the GRU another.
+
+    Each [2D, D] gate weight stacks the rows that read the state (U) over the
+    rows that read conv_t (W). The W products of every step are one GEMM
+    before the loop; the loop does state @ [U_z | U_r] and (r * state) @ U_c.
+    The backward runs BPTT carrying only the state gradient, then takes every
+    weight and input gradient from [L*B, D] GEMMs.
     """
-    bsz, length, dim = h.shape
     c = ad.conv1d_depthwise(h, p.conv_kernel, p.conv_bias)
-    state = Tensor(np.zeros((bsz, dim), dtype=h.dtype))
-    outputs = []
+    bsz, length, dim = c.shape
+    inputs = (c, p.update_w, p.update_b, p.reset_w, p.reset_b, p.cand_w, p.cand_b)
+    w = np.concatenate([p.update_w.data, p.reset_w.data, p.cand_w.data], axis=1)  # [2D, 3D]: z | r | candidate
+    u_zr, u_c, w_in = w[:dim, : 2 * dim], w[:dim, 2 * dim :], w[dim:]
+    c_tm = np.ascontiguousarray(c.data.swapaxes(0, 1)).reshape(-1, dim)  # [L*B, D], time-major
+    bias = np.concatenate([p.update_b.data, p.reset_b.data, p.cand_b.data])
+    pre = (c_tm @ w_in + bias).reshape(length, bsz, 3 * dim)  # W conv_t + b of every step and gate
+    states = np.zeros((length + 1, bsz, dim), dtype=c.dtype)  # states[t + 1] follows step t
+    zr = np.empty((length, bsz, 2 * dim), dtype=c.dtype)
+    cand = np.empty((length, bsz, dim), dtype=c.dtype)
     for t in range(length):
-        c_t = ad.select(c, 1, t)
-        joint = ad.concat((state, c_t), axis=-1)
-        z_t = ad.sigmoid(ad.add(ad.matmul(joint, p.update_w), p.update_b))
-        r_t = ad.sigmoid(ad.add(ad.matmul(joint, p.reset_w), p.reset_b))
-        cand_in = ad.concat((ad.mul(r_t, state), c_t), axis=-1)
-        cand = ad.tanh(ad.add(ad.matmul(cand_in, p.cand_w), p.cand_b))
-        state = ad.add(ad.mul(z_t, state), ad.mul(ad.sub(1.0, z_t), cand))
-        outputs.append(state)
-    return ad.stack(outputs, axis=1)
+        s = states[t]
+        zr[t] = ad._sigmoid_np(pre[t, :, : 2 * dim] + s @ u_zr)
+        cand[t] = np.tanh(pre[t, :, 2 * dim :] + (zr[t, :, dim:] * s) @ u_c)
+        z = zr[t, :, :dim]
+        states[t + 1] = z * s + (1.0 - z) * cand[t]
+
+    def bwd(g):
+        prev = states[:-1]
+        z, r = zr[..., :dim], zr[..., dim:]
+        # local derivatives: dz and dc take d state_t to the z and candidate pre-activations,
+        # dr takes d(r * state) to the r pre-activation
+        dz = (prev - cand) * z * (1.0 - z)
+        dc = (1.0 - z) * (1.0 - cand * cand)
+        dr = prev * r * (1.0 - r)
+        g_tm = g.swapaxes(0, 1)
+        g_pre = np.empty((length, bsz, 3 * dim), dtype=c.dtype)
+        gs = np.zeros((bsz, dim), dtype=c.dtype)
+        for t in range(length - 1, -1, -1):
+            gs += g_tm[t]
+            np.multiply(gs, dz[t], out=g_pre[t, :, :dim])
+            np.multiply(gs, dc[t], out=g_pre[t, :, 2 * dim :])
+            g_rs = g_pre[t, :, 2 * dim :] @ u_c.T  # d/d(r * state)
+            np.multiply(g_rs, dr[t], out=g_pre[t, :, dim : 2 * dim])
+            gs = gs * z[t] + g_rs * r[t] + g_pre[t, :, : 2 * dim] @ u_zr.T
+            flush_negligible(gs)
+        g_pre = g_pre.reshape(-1, 3 * dim)
+        prev = prev.reshape(-1, dim)
+        rs = r.reshape(-1, dim) * prev
+        g_u = np.concatenate([prev.T @ g_pre[:, : 2 * dim], rs.T @ g_pre[:, 2 * dim :]], axis=1)
+        g_w = np.concatenate([g_u, c_tm.T @ g_pre])  # [2D, 3D], laid out like w
+        g_b = g_pre.sum(axis=0)
+        g_c = (g_pre @ w_in.T).reshape(length, bsz, dim).swapaxes(0, 1)
+        z_cols, r_cols, c_cols = (slice(i * dim, (i + 1) * dim) for i in range(3))
+        return g_c, g_w[:, z_cols], g_b[z_cols], g_w[:, r_cols], g_b[r_cols], g_w[:, c_cols], g_b[c_cols]
+
+    return ad._make(states[1:].swapaxes(0, 1), inputs, bwd)
 
 
 def bidirectional_mamba(h: Tensor, lp: LayerParams, lengths: np.ndarray, opts: LayerOptions) -> Tensor:

@@ -93,6 +93,34 @@ def init_mamba_params(
     )
 
 
+# Tile sizes of the scan. A row block holds as many batch rows as fit one step's
+# state slice [rows, E*D, S] in _STEP_BYTES; a time chunk holds as many steps as
+# fit the block's [steps, rows, E*D, S] tile in _TILE_BYTES. A tile's decay and
+# states then stay in L2 cache while the recurrence walks it.
+_STEP_BYTES = 128 * 1024
+_TILE_BYTES = 512 * 1024
+
+
+def scan_tile(bsz: int, length: int, d_inner: int, d_state: int, itemsize: int) -> tuple[int, int]:
+    """(rows, steps) of one scan tile for these shapes."""
+    row_bytes = max(1, d_inner * d_state * itemsize)
+    rows = max(1, min(bsz, _STEP_BYTES // row_bytes))
+    return rows, max(1, min(length, _TILE_BYTES // (rows * row_bytes)))
+
+
+def flush_negligible(x: np.ndarray) -> None:
+    """Zero, in place, the entries of x below tiny / eps of its dtype.
+
+    A backward recurrence carries a gradient that decays step by step. Left
+    alone, it would sink through the subnormal range, where every multiply
+    takes a slow path whose cost depends on the data. Dropping such an entry
+    changes a sum by less than half an ulp once the sum exceeds
+    2 * tiny / eps**2 (about 2e-24 in float32).
+    """
+    info = np.finfo(x.dtype)
+    np.copyto(x, 0, where=np.abs(x) < info.tiny / info.eps)
+
+
 def ssm_scan(u: Tensor, delta: Tensor, A: Tensor, B: Tensor, C: Tensor, D_skip: Tensor) -> Tensor:
     """Left-to-right selective scan, recorded as one tape op.
 
@@ -101,8 +129,13 @@ def ssm_scan(u: Tensor, delta: Tensor, A: Tensor, B: Tensor, C: Tensor, D_skip: 
     y_t = sum_s C_t[s] * h_t[:, s] + D_skip * u_t. Shapes: u/delta [B, L, E*D],
     A [E*D, S], B/C [B, L, S], D_skip [E*D]. Sequential in L by contract.
 
-    Only a recorded call keeps the states (one [L, B, E*D, S] buffer); its
-    backward runs the adjoint recurrence right to left and recomputes A_bar.
+    Rows are independent, so the scan walks tiles of a few rows by a few steps
+    (``scan_tile``). Per tile, A_bar and the drive B_bar * u are formed in bulk,
+    the loop only multiplies and adds in place, and the readout is one batched
+    matmul. Only a recorded call keeps the states (one [L, B, E*D, S] buffer);
+    an untaped call reuses one tile of scratch. The backward walks the same
+    tiles right to left, recomputes A_bar, carries only the state gradient
+    through the loop, and takes every other gradient from batched matmuls.
     """
     if u.ndim != 3 or delta.shape != u.shape:
         raise ShapeError(f"ssm_scan: u {u.shape} and delta {delta.shape} must both be [B, L, E*D]")
@@ -114,17 +147,46 @@ def ssm_scan(u: Tensor, delta: Tensor, A: Tensor, B: Tensor, C: Tensor, D_skip: 
     inputs = (u, delta, A, B, C, D_skip)
     uu, dd, a, bb, cc, dsk = (t.data for t in inputs)
     recording = ad.Tape.active() is not None and any(t.requires_grad for t in inputs)
-    states = np.empty((length, bsz, d_inner, d_state), dtype=u.dtype) if recording else None
-    h = np.zeros((bsz, d_inner, d_state), dtype=u.dtype)
+    rows, steps = scan_tile(bsz, length, d_inner, d_state, uu.itemsize)
+    # time-major views [L, B, ...], so a tile of any of them is x[t0:t1, b0:b1]
+    u_tm, d_tm, b_tm, c_tm = (x.swapaxes(0, 1) for x in (uu, dd, bb, cc))
+    states = np.empty((length, bsz, d_inner, d_state), dtype=uu.dtype) if recording else None
+    decay, scratch = (np.empty((steps * rows, d_inner, d_state), dtype=uu.dtype) for _ in range(2))
+
+    def tiles(reverse=False):
+        """Yield (t0, t1, b0, b1, A_bar, scratch) per tile, row block by row block.
+
+        A_bar and the scratch tile are [t1-t0, b1-b0, E*D, S] views of the two tile buffers.
+        """
+        for b0 in range(0, bsz, rows):
+            b1 = min(b0 + rows, bsz)
+            starts = range(0, length, steps)
+            for t0 in reversed(starts) if reverse else starts:
+                t1 = min(t0 + steps, length)
+                shape = (t1 - t0, b1 - b0, d_inner, d_state)
+                dec = decay[: shape[0] * shape[1]].reshape(shape)
+                np.exp(np.multiply(d_tm[t0:t1, b0:b1, :, None], a, out=dec), out=dec)
+                yield t0, t1, b0, b1, dec, scratch[: shape[0] * shape[1]].reshape(shape)
+
     y = np.empty_like(uu)
-    for t in range(length):
-        dt_t = dd[:, t, :, None]
-        h = np.exp(dt_t * a) * h + (dt_t * uu[:, t, :, None]) * bb[:, t, None, :]
-        if not np.isfinite(h).all():
-            raise NumericError(f"ssm_scan: non-finite hidden state at step {t}")
-        if states is not None:
-            states[t] = h
-        y[:, t] = (h * cc[:, t, None, :]).sum(axis=-1)
+    first_bad = length
+    for t0, t1, b0, b1, dec, tile in tiles():
+        if t0 == 0:
+            h = np.zeros((b1 - b0, d_inner, d_state), dtype=uu.dtype)
+        hs = states[t0:t1, b0:b1] if recording else tile
+        drive = d_tm[t0:t1, b0:b1, :, None] * u_tm[t0:t1, b0:b1, :, None]
+        with np.errstate(over="ignore", invalid="ignore"):
+            np.multiply(drive, b_tm[t0:t1, b0:b1, None, :], out=hs)
+            for i in range(t1 - t0):
+                hs[i] += np.multiply(dec[i], hs[i - 1] if i else h, out=dec[i])
+        # a non-finite entry stays non-finite at every later step, so the tile's last state shows any
+        if not np.isfinite(hs[-1]).all():
+            first_bad = min(first_bad, t0 + int(np.argmin(np.isfinite(hs).all(axis=(1, 2, 3)))))
+            continue  # later tiles of this row block cannot lower first_bad; the error waits for the other rows
+        h = hs[-1].copy()
+        y.swapaxes(0, 1)[t0:t1, b0:b1] = (hs @ c_tm[t0:t1, b0:b1, :, None])[..., 0]
+    if first_bad < length:
+        raise NumericError(f"ssm_scan: non-finite hidden state at step {first_bad}")
 
     def bwd(g):
         gu = g * dsk
@@ -132,22 +194,33 @@ def ssm_scan(u: Tensor, delta: Tensor, A: Tensor, B: Tensor, C: Tensor, D_skip: 
         ga = np.zeros_like(a)
         gb = np.empty_like(bb)
         gc = np.empty_like(cc)
-        gh = np.zeros_like(h)
-        for t in range(length - 1, -1, -1):
-            dt_t = dd[:, t, :, None]
-            gy_t = g[:, t, :, None]
-            gh += gy_t * cc[:, t, None, :]  # gh_t = C_t gy_t + A_bar_{t+1} gh_{t+1}
-            gc[:, t] = (gy_t * states[t]).sum(axis=1)
-            gb[:, t] = (gh * (dt_t * uu[:, t, :, None])).sum(axis=1)
-            g_drive = (gh * bb[:, t, None, :]).sum(axis=-1)  # d/d(delta_t * u_t)
-            gu[:, t] += g_drive * dd[:, t]
-            gdelta[:, t] = g_drive * uu[:, t]
-            if t:  # h_{-1} = 0: A_bar_0 gets no gradient and gh stops at step 0
-                decay = np.exp(dt_t * a)
-                g_exp = gh * states[t - 1] * decay  # d/d(delta_t * A)
-                gdelta[:, t] += (g_exp * a).sum(axis=-1)
-                ga += (g_exp * dt_t).sum(axis=0)
-                gh *= decay
+        g_tm, gu_tm, gdelta_tm, gb_tm, gc_tm = (x.swapaxes(0, 1) for x in (g, gu, gdelta, gb, gc))
+        for t0, t1, b0, b1, dec, gs in tiles(reverse=True):
+            if t1 == length:
+                gh = np.zeros((b1 - b0, d_inner, d_state), dtype=uu.dtype)  # A_bar_t1 gh_t1 from the right
+            hs = states[t0:t1, b0:b1]
+            dt = d_tm[t0:t1, b0:b1]
+            ut = u_tm[t0:t1, b0:b1]
+            gy = g_tm[t0:t1, b0:b1]
+            np.multiply(gy[..., None], c_tm[t0:t1, b0:b1, None, :], out=gs)
+            carry = gh
+            for i in range(t1 - t0 - 1, -1, -1):  # gh_t = C_t gy_t + A_bar_{t+1} gh_{t+1}
+                gs[i] += carry
+                carry = np.multiply(gs[i], dec[i], out=dec[i])  # dec now holds A_bar_t gh_t
+            np.copyto(gh, carry)
+            flush_negligible(gh)  # once per tile: the carry then sinks at most one tile deep
+            gc_tm[t0:t1, b0:b1] = (gy[:, :, None, :] @ hs)[:, :, 0]
+            gb_tm[t0:t1, b0:b1] = ((dt * ut)[:, :, None, :] @ gs)[:, :, 0]
+            g_drive = (gs @ b_tm[t0:t1, b0:b1, :, None])[..., 0]  # d/d(delta_t * u_t)
+            gu_tm[t0:t1, b0:b1] += g_drive * dt
+            gd = g_drive * ut
+            # d/d(delta_t * A) = A_bar_t gh_t h_{t-1}, reduced per channel; h_{-1} = 0
+            lo = 1 if t0 == 0 else 0
+            g_exp = np.multiply(dec[lo:], states[t0 + lo - 1 : t1 - 1, b0:b1], out=dec[lo:])
+            g_exp = g_exp.reshape(-1, d_inner, d_state).swapaxes(0, 1)  # [E*D, steps * rows, S]
+            gd[lo:] += (g_exp @ a[:, :, None])[..., 0].T.reshape(gd[lo:].shape)
+            ga += (dt[lo:].reshape(-1, d_inner).T[:, None, :] @ g_exp)[:, 0]
+            gdelta_tm[t0:t1, b0:b1] = gd
         return gu, gdelta, ga, gb, gc, (g * uu).sum(axis=(0, 1))
 
     return ad._make(y + uu * dsk, inputs, bwd)

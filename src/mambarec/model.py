@@ -12,6 +12,7 @@ from __future__ import annotations
 import dataclasses
 import io
 import json
+import zipfile
 from dataclasses import dataclass
 
 import numpy as np
@@ -167,11 +168,26 @@ def load_checkpoint(path) -> tuple[ModelParams, dict]:
 
     The file must hold exactly the parameters its config builds, each with the
     built shape; anything else is a ``ConfigError`` that names the difference.
+    A file that is not an ``.npz`` archive, lacks the format, config or
+    embedding entry, or holds a config that is not JSON, is a ``ConfigError``
+    naming the path; a missing file raises ``OSError``.
     """
-    with np.load(path, allow_pickle=False) as blob:
+    try:
+        blob = np.load(path, allow_pickle=False)
+    except (ValueError, EOFError, zipfile.BadZipFile) as err:
+        raise ConfigError(f"cannot read checkpoint {path}: {err}") from err
+    if not isinstance(blob, np.lib.npyio.NpzFile):
+        raise ConfigError(f"cannot read checkpoint {path}: not an .npz archive")
+    with blob:
+        absent = [k for k in ("__format__", "__config__", "param:embedding") if k not in blob.files]
+        if absent:
+            raise ConfigError(f"checkpoint {path} has no {', '.join(absent)}")
         if str(blob["__format__"]) != CHECKPOINT_FORMAT:
             raise ConfigError(f"unrecognized checkpoint format in {path}")
-        config_dict = json.loads(str(blob["__config__"]))
+        try:
+            config_dict = json.loads(str(blob["__config__"]))
+        except json.JSONDecodeError as err:
+            raise ConfigError(f"checkpoint {path} has a __config__ that is not JSON: {err}") from err
         stored = {k[len("param:") :]: blob[k] for k in blob.files if k.startswith("param:")}
     from .config import RunConfig  # local import to avoid a cycle
 

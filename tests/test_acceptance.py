@@ -272,6 +272,22 @@ def test_criterion_6_complexity():
     assert largest and largest[0] >= 3.0, f"attention 256->512 ratio {largest} < 3.0"
 
 
+def test_training_tape_length_is_independent_of_sequence_length():
+    """Deterministic companion to criterion 6, on the path training runs: a default-config
+    train step records the same number of tape ops at every sequence length."""
+    counts = []
+    for length in (16, 64, 200):
+        cfg = RunConfig(max_len=length)
+        params = init_model_params(cfg, n_items=30, rng=np.random.default_rng(0))
+        items = np.random.default_rng(1).integers(1, 31, size=(2, length))
+        items[1, : length // 2] = 0  # left padding
+        batch = Batch(items, (items != 0).sum(1), np.array([3, 5]), np.array([0, 1]))
+        with ad.Tape() as tape:
+            batch_loss(params, batch, layer_options(cfg), rng=np.random.default_rng(2))
+        counts.append(len(tape))
+    assert counts[0] == counts[1] == counts[2], f"tape records at L = 16, 64, 200: {counts}"
+
+
 # ---------------------------------------------------------------------------
 # 7. ablation direction
 

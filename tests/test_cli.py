@@ -10,7 +10,14 @@ from mambarec.cli import main
 from mambarec.config import RunConfig
 from mambarec.data import Interaction, InteractionSequence, make_batch, split_leave_one_out
 from mambarec.layers import LayerOptions, bidirectional_mamba, init_layer_params
-from mambarec.model import batch_loss, init_model_params, layer_options, named_tensors, save_checkpoint
+from mambarec.model import (
+    CHECKPOINT_FORMAT,
+    batch_loss,
+    init_model_params,
+    layer_options,
+    named_tensors,
+    save_checkpoint,
+)
 
 
 def _write_tsv(path, n_users=14, catalog=8, length=7):
@@ -115,6 +122,42 @@ def test_eval_on_a_checkpoint_that_disagrees_with_its_config_is_config_error(tmp
     err = capsys.readouterr().err
     assert "does not match its config" in err and "'layers.1." in err
     assert "Traceback" not in err
+
+
+def _write_unreadable_checkpoint(path, case):
+    if case == "text":
+        path.write_text("not a checkpoint\n", encoding="utf-8")
+    elif case == "single-array":
+        with open(path, "wb") as fh:
+            np.save(fh, np.zeros(1))
+    elif case == "no-format":
+        np.savez(path, x=np.zeros(1))
+    elif case == "no-embedding":
+        np.savez(path, __format__=np.array(CHECKPOINT_FORMAT), __config__=np.array(json.dumps(RunConfig().to_dict())))
+    elif case == "config-not-json":
+        arrays = {"__format__": np.array(CHECKPOINT_FORMAT), "__config__": np.array("{not json")}
+        np.savez(path, **arrays, **{"param:embedding": np.zeros((3, 8), np.float32)})
+
+
+@pytest.mark.parametrize(
+    "case, code",
+    [("missing", 3), ("text", 2), ("single-array", 2), ("no-format", 2), ("no-embedding", 2), ("config-not-json", 2)],
+)
+def test_eval_on_an_unreadable_checkpoint_exits_with_a_code(tmp_path, capsys, case, code):
+    ckpt = tmp_path / "ckpt.npz"
+    _write_unreadable_checkpoint(ckpt, case)
+    rc = main(["eval", "--out", str(tmp_path / "ev"), "--checkpoint", str(ckpt)])
+    err = capsys.readouterr().err
+    assert rc == code
+    assert str(ckpt) in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command, name", [("prepare", "missing.tsv"), ("train", "missing.json")])
+def test_missing_input_file_is_data_error(tmp_path, capsys, command, name):
+    rc = main([command, "--out", str(tmp_path / "x"), "--data", str(tmp_path / name)])
+    err = capsys.readouterr().err
+    assert rc == 3
+    assert name in err and "Traceback" not in err
 
 
 def test_rerun_from_echoed_config_is_bitwise_identical(tmp_path, prepared):

@@ -8,7 +8,7 @@ from helpers import check_grads, rand_tensor
 
 from mambarec.autodiff import Tape, Tensor
 from mambarec.errors import NumericError, ShapeError
-from mambarec.mamba import dt_rank_for, init_mamba_params, mamba_forward, ssm_scan
+from mambarec.mamba import dt_rank_for, flush_negligible, init_mamba_params, mamba_forward, scan_tile, ssm_scan
 
 
 def _sigmoid(x):
@@ -169,6 +169,66 @@ def test_scan_gradients_of_all_six_inputs(length):
     named = list(zip(("u", "delta", "A", "B", "C", "D_skip"), inputs))
     check_grads(lambda: (ssm_scan(u, delta, a, b, c, d) * w).sum(), named, tol=1e-6)
 
+
+def _multi_tile_shape(min_length=0):
+    """Float64 (bsz, length, d_inner, d_state) that spans two row blocks and two time chunks of the scan."""
+    d_inner, d_state = 64, 32
+    rows, steps = scan_tile(1 << 30, 1 << 30, d_inner, d_state, np.dtype(np.float64).itemsize)
+    bsz, length = rows + 1, max(2 * steps + 1, min_length)
+    assert scan_tile(bsz, length, d_inner, d_state, 8) == (rows, steps)
+    assert bsz > rows and length > steps, "the shape must span two row blocks and two time chunks"
+    return bsz, length, d_inner, d_state
+
+
+@pytest.mark.parametrize("taped", [False, True], ids=["untaped", "taped"])
+def test_tiled_scan_matches_dense_unrolled_oracle(taped):
+    bsz, length, d_inner, d_state = _multi_tile_shape()
+    inputs = _scan_inputs(np.random.default_rng(14), bsz, length, d_inner, d_state)
+    with Tape() if taped else nullcontext():
+        got = ssm_scan(*inputs)
+    np.testing.assert_allclose(got.data, unrolled_scan_oracle(*(t.data for t in inputs)), rtol=1e-12, atol=1e-12)
+
+
+def test_tiled_scan_gradients_of_all_six_inputs():
+    rng = np.random.default_rng(15)
+    bsz, length, d_inner, d_state = _multi_tile_shape()
+    u, delta, a, b, c, d = inputs = _scan_inputs(rng, bsz, length, d_inner, d_state)
+    w = Tensor(rng.normal(size=u.shape))
+    named = list(zip(("u", "delta", "A", "B", "C", "D_skip"), inputs))
+    check_grads(lambda: (ssm_scan(u, delta, a, b, c, d) * w).sum(), named, tol=1e-6, max_entries=16)
+
+
+@pytest.mark.parametrize("taped", [False, True], ids=["untaped", "taped"])
+def test_tiled_scan_reports_the_earliest_blowup_over_all_rows(taped):
+    bsz, length, d_inner, d_state = _multi_tile_shape(min_length=31)
+    rows, _ = scan_tile(bsz, length, d_inner, d_state, 8)
+    u, delta, a, b, c, d = inputs = _scan_inputs(np.random.default_rng(16), bsz, length, d_inner, d_state)
+    for row, step in ((rows, 9), (0, 30)):  # step 9 in the second row block, step 30 in row 0
+        u.data[row, step] = 1e300
+        b.data[row, step] = 1e300
+    with Tape() if taped else nullcontext():
+        with pytest.raises(NumericError, match="step 9$"):
+            ssm_scan(*inputs)
+
+
+@pytest.mark.parametrize("bsz, length", [(0, 5), (2, 0)])
+def test_scan_of_an_empty_batch_or_sequence_is_empty(bsz, length):
+    inputs = _scan_inputs(np.random.default_rng(17), bsz, length)
+    with Tape() as tape:
+        y = ssm_scan(*inputs)
+        loss = y.sum()
+    tape.backward(loss)
+    assert y.shape == (bsz, length, 3)
+    assert all(t.grad.shape == t.shape and not t.grad.any() for t in inputs)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_flush_negligible_zeroes_only_entries_below_tiny_over_eps(dtype):
+    info = np.finfo(dtype)
+    cut = float(info.tiny / info.eps)
+    x = np.array([2 * cut, -2 * cut, cut, cut / 2, -cut / 2, info.tiny, info.tiny * info.eps, 0.0, 1.0], dtype=dtype)
+    flush_negligible(x)
+    np.testing.assert_array_equal(x, np.array([2 * cut, -2 * cut, cut, 0, 0, 0, 0, 0, 1.0], dtype=dtype))
 
 def test_zero_input_zero_bias_gives_zero_output():
     p = init_mamba_params(np.random.default_rng(3), dim=8, d_state=4, dtype=np.float64)
