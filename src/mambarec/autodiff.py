@@ -357,7 +357,10 @@ def exp(a: Tensor) -> Tensor:
 
 
 def softplus(a: Tensor) -> Tensor:
-    y = np.logaddexp(0.0, a.data).astype(a.dtype, copy=False)
+    """log(1 + e^x), as max(x, 0) + log1p(e^-|x|), which never overflows."""
+    y = np.exp(-np.abs(a.data))
+    np.log1p(y, out=y)
+    y += np.maximum(a.data, 0)
     return _make(y, (a,), lambda g: (g * _sigmoid_np(a.data),))
 
 

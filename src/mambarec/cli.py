@@ -83,11 +83,11 @@ def cmd_prepare(args: argparse.Namespace) -> int:
     out = _out_dir(args)
     if not cfg.data:
         raise ConfigError("prepare needs --data pointing at a TSV file")
-    sequences = ingest(cfg.data)
-    raw_stats = dataset_stats(sequences)
-    sequences = filter_and_bound(sequences, cfg.min_len, cfg.max_len_cap or None)
-    stats = dataset_stats(sequences)
-    split = split_leave_one_out(sequences, cfg.max_len)
+    log = ingest(cfg.data)
+    raw_stats = dataset_stats(log)
+    log = filter_and_bound(log, cfg.min_len, cfg.max_len_cap or None)
+    stats = dataset_stats(log)
+    split = split_leave_one_out(log, cfg.max_len)
     save_split(split, out / "split.json")
     _echo_config(cfg, out)
     print(f"{'':<12}{'# Users':>12}{'# Items':>12}{'Sparsity':>10}{'Avg.length':>12}")

@@ -12,15 +12,15 @@ from __future__ import annotations
 import csv
 import json
 import logging
-from dataclasses import dataclass, field
+from array import array
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ContractError, DataError
 
 __all__ = [
-    "Interaction",
-    "InteractionSequence",
+    "InteractionLog",
     "SplitRow",
     "SplitDataset",
     "Batch",
@@ -44,21 +44,73 @@ SPLIT_FORMAT = "mambarec-split-v1"
 
 
 @dataclass
-class Interaction:
-    item_id: str
-    timestamp: int
-    rating: float = 0.0
+class InteractionLog:
+    """An interaction log as columns, one entry per interaction.
 
+    Rows are grouped by user, users in first-seen order, and within a user
+    ascending by ``(timestamp, rating)``; ties keep their input order. The
+    ``user`` and ``item`` codes number their labels by first appearance in
+    this row order, so every label occurs in some row.
+    """
 
-@dataclass
-class InteractionSequence:
-    """One user's interactions, sorted ascending by (timestamp, rating)."""
+    user_ids: list[str]
+    item_ids: list[str]
+    user: np.ndarray  # [n] int64 index into user_ids, nondecreasing
+    item: np.ndarray  # [n] int64 index into item_ids
+    timestamp: np.ndarray  # [n] int64
+    rating: np.ndarray  # [n] float64
 
-    user_id: str
-    items: list[Interaction] = field(default_factory=list)
+    @classmethod
+    def from_columns(cls, user_ids, user, item_ids, item, timestamp, rating) -> InteractionLog:
+        """Group and sort rows whose ``user``/``item`` codes index ``user_ids``/``item_ids``."""
+        user = np.asarray(user, dtype=np.int64)
+        timestamp = np.asarray(timestamp, dtype=np.int64)
+        rating = np.asarray(rating, dtype=np.float64)
+        first_seen, _ = _first_seen(user, len(user_ids))
+        order = np.lexsort((rating, timestamp, first_seen))
+        log = cls(list(user_ids), list(item_ids), user, np.asarray(item, dtype=np.int64), timestamp, rating)
+        return log.take(order)
+
+    def take(self, rows: np.ndarray) -> InteractionLog:
+        """The log of the selected rows (an index or a boolean mask), with unused labels dropped.
+
+        The selected rows must stay grouped by user and sorted as the class requires.
+        """
+        user, users = _first_seen(self.user[rows], len(self.user_ids))
+        item, items = _first_seen(self.item[rows], len(self.item_ids))
+        return InteractionLog(
+            [self.user_ids[u] for u in users.tolist()],
+            [self.item_ids[i] for i in items.tolist()],
+            user,
+            item,
+            self.timestamp[rows],
+            self.rating[rows],
+        )
 
     def __len__(self) -> int:
-        return len(self.items)
+        return self.user.size
+
+    @property
+    def n_users(self) -> int:
+        return len(self.user_ids)
+
+    @property
+    def n_items(self) -> int:
+        return len(self.item_ids)
+
+
+def _first_seen(codes: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """Renumber ``codes`` (values in ``[0, size)``) 0, 1, 2, ... by first appearance.
+
+    Returns the new codes and, for each new code, the old one.
+    """
+    first = np.full(size, codes.size, dtype=np.int64)
+    np.minimum.at(first, codes, np.arange(codes.size))
+    used = np.flatnonzero(first < codes.size)
+    old = used[np.argsort(first[used])]
+    new = np.empty(size, dtype=np.int64)
+    new[old] = np.arange(old.size)
+    return new[codes], old
 
 
 @dataclass
@@ -105,99 +157,111 @@ class Batch:
 # ingestion
 
 
-def ingest(path) -> list[InteractionSequence]:
-    """Parse a TSV with header user_id, item_id, timestamp[, rating].
+def ingest(path) -> InteractionLog:
+    """Parse a UTF-8 TSV with header user_id, item_id, timestamp[, rating].
 
-    Rows are grouped by user in first-seen order and sorted ascending by
-    (timestamp, rating); out-of-order input is repaired by the sort.
+    Rows are streamed into typed column buffers, with no object per row.
+    Timestamps must fit in int64 and ratings must not be NaN, so that the
+    ``(timestamp, rating)`` order is defined.
     """
-    sequences: dict[str, InteractionSequence] = {}
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh, delimiter="\t")
-        if reader.fieldnames is None:
-            return []
-        required = {"user_id", "item_id", "timestamp"}
-        missing = required - set(reader.fieldnames)
-        if missing:
-            raise DataError(f"{path}: header missing columns {sorted(missing)}")
-        has_rating = "rating" in reader.fieldnames
-        for row in reader:
-            line = reader.line_num
-            user = row.get("user_id")
-            item = row.get("item_id")
-            ts_raw = row.get("timestamp")
-            if not user or not item or ts_raw in (None, ""):
-                raise DataError(f"{path}:{line}: incomplete row")
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            columns = _read_columns(path, csv.reader(fh, delimiter="\t"))
+    except UnicodeDecodeError as err:
+        raise DataError(f"{path}: not UTF-8 text ({err.reason})") from None
+    return InteractionLog.from_columns(*columns)
+
+
+def _read_columns(path, reader) -> tuple:
+    """The arguments of ``InteractionLog.from_columns`` for every data row of ``reader``."""
+    user_index: dict[str, int] = {}
+    item_index: dict[str, int] = {}
+    user, item, timestamp, rating = array("q"), array("q"), array("q"), array("d")
+    header = next(reader, None)
+    if header is None:
+        return [], user, [], item, timestamp, rating
+    col = {name: i for i, name in enumerate(header)}
+    missing = {"user_id", "item_id", "timestamp"} - col.keys()
+    if missing:
+        raise DataError(f"{path}: header missing columns {sorted(missing)}")
+    u_col, i_col, t_col, r_col = col["user_id"], col["item_id"], col["timestamp"], col.get("rating", -1)
+    width = max(u_col, i_col, t_col) + 1
+    for row in reader:
+        if not row:
+            continue
+        line = reader.line_num
+        if len(row) < width or not row[u_col] or not row[i_col] or not row[t_col]:
+            raise DataError(f"{path}:{line}: incomplete row")
+        ts_raw = row[t_col]
+        try:
+            timestamp.append(int(ts_raw))
+        except ValueError:
+            raise DataError(f"{path}:{line}: bad timestamp {ts_raw!r}") from None
+        except OverflowError:
+            raise DataError(f"{path}:{line}: timestamp {ts_raw!r} outside int64") from None
+        r = 0.0
+        if 0 <= r_col < len(row) and row[r_col]:
             try:
-                ts = int(ts_raw)
+                r = float(row[r_col])
             except ValueError:
-                raise DataError(f"{path}:{line}: bad timestamp {ts_raw!r}") from None
-            rating = 0.0
-            if has_rating and row.get("rating") not in (None, ""):
-                try:
-                    rating = float(row["rating"])
-                except ValueError:
-                    raise DataError(f"{path}:{line}: bad rating {row['rating']!r}") from None
-            seq = sequences.get(user)
-            if seq is None:
-                seq = sequences[user] = InteractionSequence(user)
-            seq.items.append(Interaction(item, ts, rating))
-    out = list(sequences.values())
-    for seq in out:
-        seq.items.sort(key=lambda it: (it.timestamp, it.rating))
-    return out
+                raise DataError(f"{path}:{line}: bad rating {row[r_col]!r}") from None
+            if r != r:
+                raise DataError(f"{path}:{line}: NaN rating")
+        rating.append(r)
+        user.append(user_index.setdefault(row[u_col], len(user_index)))
+        item.append(item_index.setdefault(row[i_col], len(item_index)))
+    return list(user_index), user, list(item_index), item, timestamp, rating
 
 
-def write_tsv(sequences: list[InteractionSequence], path) -> None:
-    """Serialize sequences back to the ingestion format (round-trip support)."""
+def write_tsv(log: InteractionLog, path) -> None:
+    """Serialize a log back to the ingestion format (round-trip support)."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, delimiter="\t", lineterminator="\n")
         writer.writerow(["user_id", "item_id", "timestamp", "rating"])
-        for seq in sequences:
-            for it in seq.items:
-                writer.writerow([seq.user_id, it.item_id, it.timestamp, it.rating])
+        writer.writerows(
+            zip(
+                [log.user_ids[u] for u in log.user.tolist()],
+                [log.item_ids[i] for i in log.item.tolist()],
+                log.timestamp.tolist(),
+                log.rating.tolist(),
+            )
+        )
 
 
 # ---------------------------------------------------------------------------
 # filtering and splitting
 
 
-def filter_and_bound(
-    sequences: list[InteractionSequence],
-    min_len: int = 5,
-    max_len_cap: int | None = None,
-) -> list[InteractionSequence]:
-    """Iterate {drop rare items, drop short users, truncate to cap} to a fixpoint.
+def filter_and_bound(log: InteractionLog, min_len: int = 5, max_len_cap: int | None = None) -> InteractionLog:
+    """Iterate {truncate to cap, drop rare items, drop short users} to a fixpoint.
 
     Dropping an item shortens its users, which can push them below the
     threshold, so a single pass is not enough; the loop runs until nothing
     changes, which makes the whole operation idempotent.
     """
-    current = [InteractionSequence(s.user_id, list(s.items)) for s in sequences]
+    keep = np.ones(len(log), dtype=bool)
     while True:
         changed = False
         if max_len_cap:
-            for seq in current:
-                if len(seq.items) > max_len_cap:
-                    seq.items = seq.items[-max_len_cap:]
-                    changed = True
-        counts: dict[str, int] = {}
-        for seq in current:
-            for it in seq.items:
-                counts[it.item_id] = counts.get(it.item_id, 0) + 1
-        rare = {item for item, c in counts.items() if c < min_len}
-        if rare:
-            for seq in current:
-                kept = [it for it in seq.items if it.item_id not in rare]
-                if len(kept) != len(seq.items):
-                    seq.items = kept
-                    changed = True
-        survivors = [seq for seq in current if len(seq.items) >= min_len]
-        if len(survivors) != len(current):
+            rows = np.flatnonzero(keep)
+            users = log.user[rows]
+            ends = np.cumsum(np.bincount(users, minlength=log.n_users))[users]
+            old = rows[ends - np.arange(rows.size) > max_len_cap]  # rank from the user's end
+            if old.size:
+                keep[old] = False
+                changed = True
+        counts = np.bincount(log.item[keep], minlength=log.n_items)
+        rare = keep & (counts[log.item] < min_len)
+        if rare.any():
+            keep &= ~rare
             changed = True
-        current = survivors
+        lengths = np.bincount(log.user[keep], minlength=log.n_users)
+        short = keep & (lengths[log.user] < min_len)
+        if short.any():
+            keep &= ~short
+            changed = True
         if not changed:
-            return current
+            return log.take(keep)
 
 
 def group_label(train_visible: int) -> str:
@@ -209,7 +273,7 @@ def group_label(train_visible: int) -> str:
     return "Long"
 
 
-def split_leave_one_out(sequences: list[InteractionSequence], max_len: int) -> SplitDataset:
+def split_leave_one_out(log: InteractionLog, max_len: int) -> SplitDataset:
     """Build the three splits and the id maps.
 
     Dense ids are assigned in first-appearance order over the time-sorted
@@ -217,36 +281,25 @@ def split_leave_one_out(sequences: list[InteractionSequence], max_len: int) -> S
     3 are dropped (the split needs all three roles); users of length 3 have an
     empty training prefix and contribute validation/test rows only.
     """
-    user_ids: list[str] = []
-    item_ids: list[str] = []
-    item_index: dict[str, int] = {}
+    lengths = np.bincount(log.user, minlength=log.n_users)
+    dropped = int((lengths < 3).sum())
+    log = log.take((lengths >= 3)[log.user])
+    ids = (log.item + 1).tolist()  # the log numbers items by first appearance
     train: list[SplitRow] = []
     valid: list[SplitRow] = []
     test: list[SplitRow] = []
     groups: dict[int, str] = {}
-    dropped = 0
-    for seq in sequences:
-        n = len(seq.items)
-        if n < 3:
-            dropped += 1
-            continue
-        user_ids.append(seq.user_id)
-        u = len(user_ids)
-        ids = []
-        for it in seq.items:
-            idx = item_index.get(it.item_id)
-            if idx is None:
-                item_ids.append(it.item_id)
-                idx = item_index[it.item_id] = len(item_ids)
-            ids.append(idx)
+    end = 0
+    for u, n in enumerate(lengths[lengths >= 3].tolist(), start=1):
+        start, end = end, end + n
         groups[u] = group_label(n - 2)
-        test.append(SplitRow(u, ids[max(0, n - 1 - max_len) : n - 1], ids[n - 1]))
-        valid.append(SplitRow(u, ids[max(0, n - 2 - max_len) : n - 2], ids[n - 2]))
+        test.append(SplitRow(u, ids[max(start, end - 1 - max_len) : end - 1], ids[end - 1]))
+        valid.append(SplitRow(u, ids[max(start, end - 2 - max_len) : end - 2], ids[end - 2]))
         if n >= 4:
-            train.append(SplitRow(u, ids[max(0, n - 3 - max_len) : n - 3], ids[n - 3]))
+            train.append(SplitRow(u, ids[max(start, end - 3 - max_len) : end - 3], ids[end - 3]))
     if dropped:
         logger.warning("dropped %d users shorter than 3 interactions", dropped)
-    return SplitDataset(user_ids, item_ids, max_len, train, valid, test, groups)
+    return SplitDataset(log.user_ids, log.item_ids, max_len, train, valid, test, groups)
 
 
 # ---------------------------------------------------------------------------
@@ -290,14 +343,12 @@ def batch_iter(split: SplitDataset, which: str, batch_size: int, shuffle_seed: i
 # stats and artifact io
 
 
-def dataset_stats(sequences: list[InteractionSequence]) -> dict:
-    n_users = len(sequences)
-    items = {it.item_id for seq in sequences for it in seq.items}
-    n_inter = sum(len(seq) for seq in sequences)
-    sparsity = 1.0 - n_inter / (n_users * len(items)) if n_users and items else 0.0
+def dataset_stats(log: InteractionLog) -> dict:
+    n_users, n_items, n_inter = log.n_users, log.n_items, len(log)
+    sparsity = 1.0 - n_inter / (n_users * n_items) if n_users and n_items else 0.0
     return {
         "users": n_users,
-        "items": len(items),
+        "items": n_items,
         "interactions": n_inter,
         "sparsity": sparsity,
         "avg_length": n_inter / n_users if n_users else 0.0,

@@ -7,10 +7,13 @@ lines as they complete. Tolerances are pinned here, not configurable.
 import functools
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
+import reference_data
 from helpers import check_grads, rand_tensor
+from reference_data import Interaction, InteractionSequence, log_of, sequences_of
 from test_mamba import stepwise_block_oracle, unrolled_scan_oracle
 
 import mambarec.autodiff as ad
@@ -19,8 +22,6 @@ from mambarec.bench import doubling_ratios, run_bench
 from mambarec.config import RunConfig
 from mambarec.data import (
     Batch,
-    Interaction,
-    InteractionSequence,
     filter_and_bound,
     ingest,
     load_split,
@@ -31,8 +32,9 @@ from mambarec.data import (
 from mambarec.layers import flip_index
 from mambarec.mamba import init_mamba_params, mamba_forward
 from mambarec.metrics import grouped_report, popularity_ranks, rank_targets_batch
-from mambarec.model import batch_loss, init_model_params, layer_options, named_tensors
+from mambarec.model import batch_loss, init_model_params, layer_options, named_tensors, score
 from mambarec.train import evaluate_split, train_model
+from perfbench import gen
 
 
 def criterion(number, title):
@@ -231,7 +233,7 @@ def _cyclic_dataset(n_users=200, catalog=50, length=10, seed=500):
         start = int(rng.integers(0, catalog))
         items = [f"i{(start + t) % catalog}" for t in range(length)]
         seqs.append(InteractionSequence(f"u{u}", [Interaction(x, t) for t, x in enumerate(items)]))
-    return split_leave_one_out(seqs, max_len=length)
+    return split_leave_one_out(log_of(seqs), max_len=length)
 
 
 @criterion(5, "overfit vs popularity floor")
@@ -288,6 +290,38 @@ def test_training_tape_length_is_independent_of_sequence_length():
     assert counts[0] == counts[1] == counts[2], f"tape records at L = 16, 64, 200: {counts}"
 
 
+def _traced_peak(fn) -> int:
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_memory_peak_is_linear_in_sequence_length():
+    """Deterministic companion to criterion 6: the allocation peak of an untaped score
+    and of a taped train step at least doubles no faster than L does."""
+    cfg = RunConfig(dim=64, n_layers=1, d_state=32, conv_width=4, expand=2, precision="float32", dropout=0.0)
+    params = init_model_params(cfg, n_items=100, rng=np.random.default_rng(0))
+    opts = layer_options(cfg)
+
+    def train_step(batch):
+        with ad.Tape() as tape:
+            loss = batch_loss(params, batch, opts)
+        tape.backward(loss)
+
+    peaks = {"eval": [], "train": []}
+    for length in (128, 256, 512):
+        items = np.random.default_rng(length).integers(1, 101, size=(8, length))
+        batch = Batch(items, np.full(8, length), np.arange(1, 9), np.arange(8))
+        peaks["eval"].append(_traced_peak(lambda: score(params, batch, opts)))
+        peaks["train"].append(_traced_peak(lambda: train_step(batch)))
+    for name, (p128, p256, p512) in peaks.items():
+        ratios = (p256 / p128, p512 / p256)
+        assert max(ratios) <= 2.2, f"{name} peak {p128}, {p256}, {p512} bytes at L = 128, 256, 512"
+
+
 # ---------------------------------------------------------------------------
 # 7. ablation direction
 
@@ -307,7 +341,7 @@ def _conflict_dataset(catalog=40, n_users=200, data_seed=1234):
             x = (x + step) % catalog
             items.append(int(x))
         seqs.append(InteractionSequence(f"u{u}", [Interaction(f"i{k}", t) for t, k in enumerate(items)]))
-    return split_leave_one_out(seqs, max_len=20)
+    return split_leave_one_out(log_of(seqs), max_len=20)
 
 
 @criterion(7, "ablation direction on short users")
@@ -381,20 +415,20 @@ def test_criterion_9_pipeline_integrity(tmp_path):
         cap = int(rng.integers(3, 9)) if rng.random() < 0.5 else None
 
         # filter fixpoint
-        once = filter_and_bound(seqs, min_len=min_len, max_len_cap=cap)
-        twice = filter_and_bound(once, min_len=min_len, max_len_cap=cap)
+        once = sequences_of(filter_and_bound(log_of(seqs), min_len=min_len, max_len_cap=cap))
+        twice = sequences_of(filter_and_bound(log_of(once), min_len=min_len, max_len_cap=cap))
         key = lambda data: [(s.user_id, [(i.item_id, i.timestamp, i.rating) for i in s.items]) for s in data]
         assert key(once) == key(twice), f"case {case}: filter not a fixpoint"
 
         # ingest -> serialize -> ingest identity on the id-mapped representation
         tsv = tmp_path / "rt.tsv"
-        write_tsv(once, tsv)
-        again = ingest(tsv)
+        write_tsv(log_of(once), tsv)
+        again = sequences_of(ingest(tsv))
         assert key(once) == key(again), f"case {case}: tsv round trip changed data"
 
         # split: no leakage via prefix identities; artifact round trip
         max_len = int(rng.integers(2, 16))
-        split = split_leave_one_out(once, max_len=max_len)
+        split = split_leave_one_out(log_of(once), max_len=max_len)
         by_user = {s.user_id: s for s in once}
         for which, held in (("test", 0), ("valid", 1)):
             for row in split.rows(which):
@@ -417,3 +451,40 @@ def test_criterion_9_pipeline_integrity(tmp_path):
             assert [(r.user, r.inputs, r.target) for r in loaded.rows(which)] == [
                 (r.user, r.inputs, r.target) for r in split.rows(which)
             ], f"case {case}: artifact round trip changed {which}"
+
+
+def _split_key(split):
+    rows = {which: [(r.user, r.inputs, r.target) for r in split.rows(which)] for which in ("train", "valid", "test")}
+    return split.user_ids, split.item_ids, split.max_len, split.groups, rows
+
+
+def _write_shuffled_tsv(seqs, path, rng):
+    """The sequences' rows as a TSV, interleaved across users in a random order."""
+    rows = [(s.user_id, it.item_id, it.timestamp, it.rating) for s in seqs for it in s.items]
+    lines = ["user_id\titem_id\ttimestamp\trating"]
+    lines += [f"{u}\t{i}\t{t}\t{r}" for u, i, t, r in (rows[k] for k in rng.permutation(len(rows)))]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def _oracle_split(path, min_len, cap, max_len):
+    seqs = reference_data.filter_and_bound(reference_data.ingest(path), min_len, cap)
+    return reference_data.split_leave_one_out(seqs, max_len)
+
+
+def test_columnar_split_equals_the_object_oracle(tmp_path):
+    """ingest -> filter_and_bound -> split_leave_one_out gives the reference oracle's
+    split, on criterion 9's random datasets (rows shuffled) and on a generated log."""
+    rng = np.random.default_rng(901)
+    tsv = tmp_path / "log.tsv"
+    for case in range(500):
+        _write_shuffled_tsv(_random_sequences(rng), tsv, rng)
+        min_len = int(rng.integers(1, 5))
+        cap = int(rng.integers(3, 9)) if rng.random() < 0.5 else None
+        max_len = int(rng.integers(2, 16))
+        split = split_leave_one_out(filter_and_bound(ingest(tsv), min_len, cap), max_len)
+        assert _split_key(split) == _split_key(_oracle_split(tsv, min_len, cap, max_len)), f"case {case}"
+    tsv.write_text(gen.tsv_text(gen.generate(gen.Shape("small", users=300, items=120, mean_len=12.0), 1)))
+    for min_len, cap in ((5, None), (5, 7), (12, None), (8, 15)):
+        split = split_leave_one_out(filter_and_bound(ingest(tsv), min_len, cap), 20)
+        assert split.n_users > 0, (min_len, cap)
+        assert _split_key(split) == _split_key(_oracle_split(tsv, min_len, cap, 20)), (min_len, cap)

@@ -64,6 +64,13 @@ def test_gelu_tanh_approximation_at_one():
     assert expected == pytest.approx(0.8412, abs=1e-4)
 
 
+def test_softplus_matches_logaddexp_without_overflow():
+    x = np.concatenate([np.linspace(-800.0, 800.0, 20001), [-np.inf, 0.0, np.inf]])
+    y = ad.softplus(Tensor(x)).data
+    np.testing.assert_allclose(y, np.logaddexp(0.0, x), rtol=1e-15, atol=0.0)
+    assert ad.softplus(Tensor(x.astype(np.float32))).dtype == np.float32
+
+
 @pytest.mark.parametrize("fn", [ad.sigmoid, ad.tanh, ad.silu, ad.gelu, ad.exp, ad.softplus, ad.relu])
 def test_activation_gradients(fn):
     rng = np.random.default_rng(11)

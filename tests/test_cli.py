@@ -4,11 +4,12 @@ import json
 
 import numpy as np
 import pytest
+from reference_data import Interaction, InteractionSequence, log_of
 
 from mambarec.autodiff import Tape, Tensor
 from mambarec.cli import main
 from mambarec.config import RunConfig
-from mambarec.data import Interaction, InteractionSequence, make_batch, split_leave_one_out
+from mambarec.data import make_batch, split_leave_one_out
 from mambarec.layers import LayerOptions, bidirectional_mamba, init_layer_params
 from mambarec.model import (
     CHECKPOINT_FORMAT,
@@ -160,6 +161,15 @@ def test_missing_input_file_is_data_error(tmp_path, capsys, command, name):
     assert name in err and "Traceback" not in err
 
 
+def test_prepare_on_non_utf8_input_is_data_error(tmp_path, capsys):
+    tsv = tmp_path / "cp1252.tsv"
+    tsv.write_bytes(b"user_id\titem_id\ttimestamp\nu1\tcaf\xff\t1\n")
+    rc = main(["prepare", "--out", str(tmp_path / "x"), "--data", str(tsv)])
+    err = capsys.readouterr().err
+    assert rc == 3
+    assert "cp1252.tsv" in err and "Traceback" not in err
+
+
 def test_rerun_from_echoed_config_is_bitwise_identical(tmp_path, prepared):
     first = tmp_path / "first"
     main(["train", "--out", str(first), "--data", str(prepared), *_tiny_args()])
@@ -231,7 +241,7 @@ def _mini_model(no_flip=False, no_gate=False, no_gru=False):
         no_flip=no_flip, no_gate=no_gate, no_gru=no_gru, min_len=1,
     )
     split = split_leave_one_out(
-        [InteractionSequence(f"u{u}", [Interaction(f"i{k}", k) for k in range(6)]) for u in range(4)],
+        log_of([InteractionSequence(f"u{u}", [Interaction(f"i{k}", k) for k in range(6)]) for u in range(4)]),
         max_len=6,
     )
     params = init_model_params(cfg, split.n_items, np.random.default_rng(0))

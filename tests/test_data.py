@@ -2,10 +2,9 @@
 
 import numpy as np
 import pytest
+from reference_data import Interaction, InteractionSequence, log_of, sequences_of
 
 from mambarec.data import (
-    Interaction,
-    InteractionSequence,
     batch_iter,
     dataset_stats,
     filter_and_bound,
@@ -36,7 +35,7 @@ def _seq(user, items, t0=0):
 
 def test_ingest_single_user(tmp_path):
     path = _write(tmp_path, "user_id\titem_id\ttimestamp\nu1\ta\t3\nu1\tb\t1\nu1\tc\t2\n")
-    seqs = ingest(path)
+    seqs = sequences_of(ingest(path))
     assert len(seqs) == 1
     assert [it.item_id for it in seqs[0].items] == ["b", "c", "a"]  # sorted by time
 
@@ -46,23 +45,33 @@ def test_ingest_rating_breaks_timestamp_ties(tmp_path):
         tmp_path,
         "user_id\titem_id\ttimestamp\trating\nu1\thigh\t5\t5\nu1\tlow\t5\t2\n",
     )
-    seqs = ingest(path)
+    seqs = sequences_of(ingest(path))
     assert [it.item_id for it in seqs[0].items] == ["low", "high"]  # ascending rating
 
 
 def test_ingest_empty_file(tmp_path):
     path = _write(tmp_path, "")
-    assert ingest(path) == []
+    assert sequences_of(ingest(path)) == []
 
 
 def test_ingest_header_only(tmp_path):
     path = _write(tmp_path, "user_id\titem_id\ttimestamp\n")
-    assert ingest(path) == []
+    assert sequences_of(ingest(path)) == []
 
 
 def test_ingest_reports_bad_line(tmp_path):
     path = _write(tmp_path, "user_id\titem_id\ttimestamp\nu1\ta\tnot_a_number\n")
     with pytest.raises(DataError, match=":2"):
+        ingest(path)
+
+
+@pytest.mark.parametrize(
+    "row, message",
+    [("u1\tb", ":3: incomplete row"), ("\tb\t2\t1", ":3: incomplete row"), ("u1\tb\t2\tgood", ":3: bad rating")],
+)
+def test_ingest_reports_each_bad_row_kind(tmp_path, row, message):
+    path = _write(tmp_path, f"user_id\titem_id\ttimestamp\trating\nu1\ta\t1\t\n{row}\n")
+    with pytest.raises(DataError, match=message):
         ingest(path)
 
 
@@ -75,12 +84,60 @@ def test_ingest_missing_columns(tmp_path):
 def test_ingest_roundtrip_through_tsv(tmp_path):
     seqs = [_seq("u1", ["a", "b", "c"]), _seq("u2", ["b", "a"])]
     out = tmp_path / "echo.tsv"
-    write_tsv(seqs, out)
-    again = ingest(out)
+    write_tsv(log_of(seqs), out)
+    again = sequences_of(ingest(out))
     assert [(s.user_id, [it.item_id for it in s.items]) for s in again] == [
         ("u1", ["a", "b", "c"]),
         ("u2", ["b", "a"]),
     ]
+
+
+def test_ingest_quoted_field_holds_a_tab(tmp_path):
+    path = _write(tmp_path, 'user_id\titem_id\ttimestamp\nu1\t"a\tb"\t2\nu1\tc\t1\n')
+    seqs = sequences_of(ingest(path))
+    assert [it.item_id for it in seqs[0].items] == ["c", "a\tb"]
+    out = tmp_path / "echo.tsv"
+    write_tsv(ingest(path), out)
+    assert sequences_of(ingest(out)) == seqs
+
+
+def test_ingest_skips_blank_lines_and_names_the_row_line(tmp_path):
+    path = _write(tmp_path, "user_id\titem_id\ttimestamp\n\nu1\ta\t1\n\n\nu1\tb\t2\n\n")
+    assert [it.item_id for it in sequences_of(ingest(path))[0].items] == ["a", "b"]
+    bad = _write(tmp_path, "user_id\titem_id\ttimestamp\nu1\ta\t1\n\n\nu1\tb\tx\n", name="bad.tsv")
+    with pytest.raises(DataError, match=":5: bad timestamp"):
+        ingest(bad)
+
+
+def test_ingest_keeps_file_order_on_full_ties(tmp_path):
+    rows = "".join(f"u1\ti{k}\t7\t3\n" for k in (4, 1, 3, 0, 2))
+    path = _write(tmp_path, "user_id\titem_id\ttimestamp\trating\n" + rows)
+    assert [it.item_id for it in sequences_of(ingest(path))[0].items] == ["i4", "i1", "i3", "i0", "i2"]
+
+
+@pytest.mark.parametrize("ts", [str(2**63), str(-(2**63) - 1)])
+def test_ingest_rejects_timestamp_outside_int64(tmp_path, ts):
+    path = _write(tmp_path, f"user_id\titem_id\ttimestamp\nu1\ta\t1\nu1\tb\t{ts}\n")
+    with pytest.raises(DataError, match=":3: timestamp .* outside int64"):
+        ingest(path)
+
+
+def test_ingest_accepts_int64_extremes(tmp_path):
+    path = _write(tmp_path, f"user_id\titem_id\ttimestamp\nu1\ta\t{2**63 - 1}\nu1\tb\t{-(2**63)}\n")
+    assert [it.timestamp for it in sequences_of(ingest(path))[0].items] == [-(2**63), 2**63 - 1]
+
+
+def test_ingest_rejects_nan_rating(tmp_path):
+    path = _write(tmp_path, "user_id\titem_id\ttimestamp\trating\nu1\ta\t1\tnan\n")
+    with pytest.raises(DataError, match=":2: NaN rating"):
+        ingest(path)
+
+
+def test_ingest_non_utf8_is_data_error(tmp_path):
+    path = tmp_path / "latin.tsv"
+    path.write_bytes(b"user_id\titem_id\ttimestamp\nu1\t\xff\t1\n")
+    with pytest.raises(DataError, match="latin.tsv: not UTF-8"):
+        ingest(path)
 
 
 # ---------------------------------------------------------------------------
@@ -90,7 +147,7 @@ def test_ingest_roundtrip_through_tsv(tmp_path):
 def test_filter_drops_user_below_threshold():
     # "short" has 4 interactions; its rare items c/d vanish first, then the user
     seqs = [_seq("short", ["a", "b", "c", "d"]), _seq("long", ["a"] * 5 + ["b"] * 5)]
-    kept = filter_and_bound(seqs, min_len=5)
+    kept = sequences_of(filter_and_bound(log_of(seqs), min_len=5))
     assert [s.user_id for s in kept] == ["long"]
     assert len(kept[0]) == 10
 
@@ -103,7 +160,7 @@ def test_filter_cascade_hand_fixture():
         _seq("u2", ["Q", "P", "Q", "P", "Q", "X"]),
         _seq("u3", ["P", "Q", "X", "X", "P"]),
     ]
-    kept = filter_and_bound(seqs, min_len=5)
+    kept = sequences_of(filter_and_bound(log_of(seqs), min_len=5))
     assert [s.user_id for s in kept] == ["u1", "u2"]
     assert all(len(s) == 5 for s in kept)
     assert {it.item_id for s in kept for it in s.items} == {"P", "Q"}
@@ -111,7 +168,7 @@ def test_filter_cascade_hand_fixture():
 
 def test_filter_cap_keeps_most_recent():
     seq = _seq("u", [f"i{k % 6}" for k in range(150)])
-    kept = filter_and_bound([seq], min_len=1, max_len_cap=100)
+    kept = sequences_of(filter_and_bound(log_of([seq]), min_len=1, max_len_cap=100))
     assert len(kept[0]) == 100
     assert kept[0].items[0].timestamp == 50  # oldest 50 dropped
 
@@ -122,8 +179,8 @@ def test_filter_is_idempotent_fixpoint():
         _seq(f"u{u}", [f"i{rng.integers(0, 12)}" for _ in range(rng.integers(1, 15))])
         for u in range(30)
     ]
-    once = filter_and_bound(seqs, min_len=5, max_len_cap=8)
-    twice = filter_and_bound(once, min_len=5, max_len_cap=8)
+    once = sequences_of(filter_and_bound(log_of(seqs), min_len=5, max_len_cap=8))
+    twice = sequences_of(filter_and_bound(log_of(once), min_len=5, max_len_cap=8))
     assert [(s.user_id, [(i.item_id, i.timestamp) for i in s.items]) for s in once] == [
         (s.user_id, [(i.item_id, i.timestamp) for i in s.items]) for s in twice
     ]
@@ -134,7 +191,7 @@ def test_filter_is_idempotent_fixpoint():
 
 
 def test_split_enumeration_four_items():
-    split = split_leave_one_out([_seq("u", ["a", "b", "c", "d"])], max_len=10)
+    split = split_leave_one_out(log_of([_seq("u", ["a", "b", "c", "d"])]), max_len=10)
     ids = {name: i + 1 for i, name in enumerate(split.item_ids)}
     (test_row,) = split.test
     (valid_row,) = split.valid
@@ -145,18 +202,18 @@ def test_split_enumeration_four_items():
 
 
 def test_split_length_three_user_gets_valid_and_test_only():
-    split = split_leave_one_out([_seq("u", ["a", "b", "c"])], max_len=10)
+    split = split_leave_one_out(log_of([_seq("u", ["a", "b", "c"])]), max_len=10)
     assert len(split.test) == 1 and len(split.valid) == 1
     assert split.train == []  # a nonempty training input would need 4 items
 
 
 def test_split_drops_users_below_three():
-    split = split_leave_one_out([_seq("u", ["a", "b"])], max_len=10)
+    split = split_leave_one_out(log_of([_seq("u", ["a", "b"])]), max_len=10)
     assert split.n_users == 0 and not split.test
 
 
 def test_split_truncates_to_recent_items():
-    split = split_leave_one_out([_seq("u", list("abcdef"))], max_len=2)
+    split = split_leave_one_out(log_of([_seq("u", list("abcdef"))]), max_len=2)
     ids = {name: i + 1 for i, name in enumerate(split.item_ids)}
     (test_row,) = split.test
     assert test_row.inputs == [ids["d"], ids["e"]]  # two most recent inputs
@@ -174,7 +231,7 @@ def test_split_group_boundaries():
 def test_split_groups_partition_users():
     rng = np.random.default_rng(1)
     seqs = [_seq(f"u{u}", [f"i{k}" for k in range(rng.integers(3, 30))]) for u in range(25)]
-    split = split_leave_one_out(seqs, max_len=50)
+    split = split_leave_one_out(log_of(seqs), max_len=50)
     assert set(split.groups) == set(range(1, split.n_users + 1))
     for u, label in split.groups.items():
         n = len(seqs[u - 1].items)
@@ -186,7 +243,7 @@ def test_split_no_leakage_prefix_identities():
     for _ in range(50):
         n = int(rng.integers(3, 20))
         items = [f"i{rng.integers(0, 8)}" for _ in range(n)]
-        split = split_leave_one_out([_seq("u", items)], max_len=100)
+        split = split_leave_one_out(log_of([_seq("u", items)]), max_len=100)
         ids = [split.item_ids.index(x) + 1 for x in items]
         (test_row,) = split.test
         (valid_row,) = split.valid
@@ -200,7 +257,7 @@ def test_split_no_leakage_prefix_identities():
 
 def test_split_artifact_roundtrip(tmp_path):
     seqs = [_seq(f"u{u}", [f"i{k % 7}" for k in range(4 + u)]) for u in range(6)]
-    split = split_leave_one_out(seqs, max_len=5)
+    split = split_leave_one_out(log_of(seqs), max_len=5)
     path = tmp_path / "split.json"
     save_split(split, path)
     again = load_split(path)
@@ -221,7 +278,7 @@ def test_split_artifact_roundtrip(tmp_path):
 
 def _toy_split():
     seqs = [_seq(f"u{u}", [f"i{k}" for k in range(6)]) for u in range(5)]
-    return split_leave_one_out(seqs, max_len=4)
+    return split_leave_one_out(log_of(seqs), max_len=4)
 
 
 def test_batch_sizes_include_final_partial():
@@ -266,7 +323,7 @@ def test_batch_rejects_empty_input():
 
 def test_dataset_stats_hand_count():
     seqs = [_seq("u1", ["a", "b", "c"]), _seq("u2", ["a", "b"])]
-    stats = dataset_stats(seqs)
+    stats = dataset_stats(log_of(seqs))
     assert stats["users"] == 2 and stats["items"] == 3 and stats["interactions"] == 5
     assert stats["avg_length"] == pytest.approx(2.5)
     assert stats["sparsity"] == pytest.approx(1 - 5 / 6)

@@ -2,8 +2,9 @@
 
 import numpy as np
 import pytest
+from reference_data import Interaction, InteractionSequence, log_of
 
-from mambarec.data import Interaction, InteractionSequence, split_leave_one_out
+from mambarec.data import split_leave_one_out
 from mambarec.metrics import (
     grouped_report,
     hr_at_k,
@@ -153,7 +154,7 @@ def test_popularity_ranks_prefers_frequent_items():
         InteractionSequence("u1", [Interaction(x, t) for t, x in enumerate("aaab" + "ba")]),
         InteractionSequence("u2", [Interaction(x, t) for t, x in enumerate("aaab" + "bc")]),
     ]
-    split = split_leave_one_out(seqs, max_len=10)
+    split = split_leave_one_out(log_of(seqs), max_len=10)
     ranks = popularity_ranks(split, "test")
     ids = {name: i for i, name in enumerate(split.item_ids)}
     # training rows hold a,a,a,b per user; "a" is the most popular item

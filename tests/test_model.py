@@ -5,11 +5,12 @@ import math
 import numpy as np
 import pytest
 from helpers import check_grads
+from reference_data import Interaction, InteractionSequence, log_of
 
 import mambarec.autodiff as ad
 from mambarec.autodiff import Tensor
 from mambarec.config import RunConfig
-from mambarec.data import Batch, Interaction, InteractionSequence, make_batch, split_leave_one_out
+from mambarec.data import Batch, make_batch, split_leave_one_out
 from mambarec.errors import ConfigError, ContractError
 from mambarec.metrics import rank_targets_batch
 from mambarec.model import (
@@ -173,8 +174,8 @@ def test_appending_item_advances_target_position():
     seq = [Interaction(f"i{k}", k) for k in range(5)]
     short = InteractionSequence("u", seq[:4])
     longer = InteractionSequence("u", seq)
-    s1 = split_leave_one_out([short], max_len=6)
-    s2 = split_leave_one_out([longer], max_len=6)
+    s1 = split_leave_one_out(log_of([short]), max_len=6)
+    s2 = split_leave_one_out(log_of([longer]), max_len=6)
     b1 = make_batch(s1.test, 6)
     b2 = make_batch(s2.test, 6)
     assert b2.lengths[0] == b1.lengths[0] + 1

@@ -2,10 +2,11 @@
 
 import numpy as np
 import pytest
+from reference_data import Interaction, InteractionSequence, log_of
 
 from mambarec.autodiff import Tape, Tensor
 from mambarec.config import RunConfig
-from mambarec.data import Interaction, InteractionSequence, make_batch, split_leave_one_out
+from mambarec.data import make_batch, split_leave_one_out
 from mambarec.errors import NumericError
 from mambarec.model import batch_loss, init_model_params, layer_options, named_tensors
 from mambarec.train import Adam, evaluate_split, seeded_rngs, train_model
@@ -18,7 +19,7 @@ def _cyclic_split(n_users=24, catalog=12, length=8, max_len=8, seed=0):
         start = int(rng.integers(0, catalog))
         items = [f"i{(start + t) % catalog}" for t in range(length)]
         seqs.append(InteractionSequence(f"u{u}", [Interaction(x, t) for t, x in enumerate(items)]))
-    return split_leave_one_out(seqs, max_len=max_len)
+    return split_leave_one_out(log_of(seqs), max_len=max_len)
 
 
 def _cfg(**kw):
