@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 import threading
-from typing import Sequence
 
 import numpy as np
 
@@ -25,26 +24,18 @@ from .errors import ConfigError, ContractError, ShapeError
 __all__ = [
     "Tensor",
     "Tape",
-    "no_grad",
     "add",
-    "sub",
     "mul",
     "neg",
     "matmul",
     "sigmoid",
-    "tanh",
-    "relu",
     "silu",
     "gelu",
     "exp",
     "softplus",
     "tsum",
-    "reshape",
     "transpose",
-    "narrow",
-    "concat",
-    "stack",
-    "select",
+    "index",
     "take_along_time",
     "embedding",
     "conv1d_depthwise",
@@ -89,39 +80,8 @@ class Tensor:
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, dtype={self.dtype.name}, requires_grad={self.requires_grad})"
 
-    # Arithmetic sugar; scalars are promoted to constant tensors.
-    def __add__(self, other):
-        return add(self, other)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
     def sum(self):
         return tsum(self)
-
-    def mean(self):
-        return mul(tsum(self), 1.0 / self.data.size)
-
-    def reshape(self, *shape):
-        if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-            shape = tuple(shape[0])
-        return reshape(self, shape)
 
 
 class _Record:
@@ -136,7 +96,7 @@ class _Record:
 class _TapeStacks(threading.local):
     # per-thread, so concurrent tapes over shared read-only params cannot collide
     def __init__(self):
-        self.stack: list["Tape | None"] = []
+        self.stack: list[Tape] = []
 
 
 _STACKS = _TapeStacks()
@@ -193,18 +153,6 @@ class Tape:
                     tensor.grad += g.astype(tensor.dtype, copy=False)
 
 
-class no_grad:
-    """Context manager that suspends recording on any active tape."""
-
-    def __enter__(self):
-        _STACKS.stack.append(None)
-        return self
-
-    def __exit__(self, *exc) -> bool:
-        _STACKS.stack.pop()
-        return False
-
-
 def _as_tensor(x, ref: Tensor | None = None) -> Tensor:
     if isinstance(x, Tensor):
         return x
@@ -246,20 +194,6 @@ def add(a, b) -> Tensor:
 
     def bwd(g):
         return _unbroadcast(g, a.shape), _unbroadcast(g, b.shape)
-
-    return _make(out, (a, b), bwd)
-
-
-def sub(a, b) -> Tensor:
-    a = _as_tensor(a, b if isinstance(b, Tensor) else None)
-    b = _as_tensor(b, a)
-    try:
-        out = a.data - b.data
-    except ValueError as err:
-        raise ShapeError(f"sub: shapes {a.shape} and {b.shape} do not broadcast") from err
-
-    def bwd(g):
-        return _unbroadcast(g, a.shape), _unbroadcast(-g, b.shape)
 
     return _make(out, (a, b), bwd)
 
@@ -316,16 +250,6 @@ def sigmoid(a: Tensor) -> Tensor:
     return _make(y, (a,), lambda g: (g * y * (1.0 - y),))
 
 
-def tanh(a: Tensor) -> Tensor:
-    y = np.tanh(a.data)
-    return _make(y, (a,), lambda g: (g * (1.0 - y * y),))
-
-
-def relu(a: Tensor) -> Tensor:
-    y = np.maximum(a.data, 0.0)
-    return _make(y, (a,), lambda g: (g * (a.data > 0),))
-
-
 def silu(a: Tensor) -> Tensor:
     s = _sigmoid_np(a.data)
     y = a.data * s
@@ -374,67 +298,21 @@ def tsum(a: Tensor) -> Tensor:
     return _make(out, (a,), lambda g: (np.broadcast_to(g, a.shape).astype(a.dtype, copy=False),))
 
 
-def reshape(a: Tensor, shape) -> Tensor:
-    shape = tuple(shape)
-    return _make(a.data.reshape(shape), (a,), lambda g: (g.reshape(a.shape),))
-
-
 def transpose(a: Tensor) -> Tensor:
     """Swap the last two axes."""
     return _make(np.swapaxes(a.data, -1, -2), (a,), lambda g: (np.swapaxes(g, -1, -2),))
 
 
-def _zero_fill_backward(a: Tensor, idx):
-    """Backward of a basic-index read ``a.data[idx]``: the gradient lands in a zero array."""
+def index(a: Tensor, key) -> Tensor:
+    """Basic-index read ``a.data[key]`` (ints, slices, ``...``), copied so it never aliases ``a``."""
+    out = a.data[key].copy()
 
     def bwd(g):
         full = np.zeros_like(a.data)
-        full[idx] = g
+        full[key] = g
         return (full,)
 
-    return bwd
-
-
-def narrow(a: Tensor, axis: int, start: int, size: int) -> Tensor:
-    """Contiguous slice of length ``size`` along one axis."""
-    axis = axis % a.ndim
-    if start < 0 or size < 0 or start + size > a.shape[axis]:
-        raise ShapeError(f"narrow: [{start}:{start + size}] out of range for axis {axis} of {a.shape}")
-    idx = tuple(slice(None) if d != axis else slice(start, start + size) for d in range(a.ndim))
-    return _make(a.data[idx].copy(), (a,), _zero_fill_backward(a, idx))
-
-
-def concat(tensors: Sequence[Tensor], axis: int = -1) -> Tensor:
-    tensors = tuple(tensors)
-    out = np.concatenate([t.data for t in tensors], axis=axis)
-    sizes = [t.shape[axis] for t in tensors]
-    offsets = np.cumsum([0] + sizes)
-
-    def bwd(g):
-        ax = axis % g.ndim
-        return tuple(
-            g[tuple(slice(None) if d != ax else slice(offsets[i], offsets[i + 1]) for d in range(g.ndim))]
-            for i in range(len(tensors))
-        )
-
-    return _make(out, tensors, bwd)
-
-
-def stack(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
-    tensors = tuple(tensors)
-    out = np.stack([t.data for t in tensors], axis=axis)
-
-    def bwd(g):
-        return tuple(np.moveaxis(g, axis, 0)[i] for i in range(len(tensors)))
-
-    return _make(out, tensors, bwd)
-
-
-def select(a: Tensor, axis: int, index: int) -> Tensor:
-    """Index one slice along ``axis``, dropping that axis."""
-    out = np.take(a.data, index, axis=axis)
-    idx = tuple(slice(None) if d != axis % a.ndim else index for d in range(a.ndim))
-    return _make(out, (a,), _zero_fill_backward(a, idx))
+    return _make(out, (a,), bwd)
 
 
 def take_along_time(a: Tensor, index: np.ndarray) -> Tensor:

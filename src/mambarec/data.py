@@ -372,24 +372,38 @@ def save_split(split: SplitDataset, path) -> None:
         fh.write("\n")
 
 
+def _row_fault(row: SplitRow, n_items: int, groups: dict) -> str | None:
+    """Why a loaded split row cannot be batched, ranked or grouped; None when it can."""
+    if type(row.user) is not int or groups.get(row.user) not in GROUP_NAMES:
+        return f"user {row.user!r} has no Short/Medium/Long group"
+    if not isinstance(row.inputs, list) or not row.inputs:
+        return "inputs must be a non-empty list"
+    bad = [i for i in (*row.inputs, row.target) if type(i) is not int or not 1 <= i <= n_items]
+    return f"item id {bad[0]!r} is not an int in [1, {n_items}]" if bad else None
+
+
 def load_split(path) -> SplitDataset:
+    """Read a ``save_split`` artifact; a malformed one raises ``DataError`` naming the path and first fault."""
     with open(path, encoding="utf-8") as fh:
         try:
             payload = json.load(fh)
         except json.JSONDecodeError as err:
             raise DataError(f"{path}: not a valid split artifact: {err}") from None
-    if payload.get("format") != SPLIT_FORMAT:
-        raise DataError(f"{path}: unrecognized split format {payload.get('format')!r}")
-    splits = {
-        which: [SplitRow(user, inputs, target) for user, inputs, target in payload["splits"][which]]
-        for which in ("train", "valid", "test")
-    }
-    return SplitDataset(
-        user_ids=payload["user_ids"],
-        item_ids=payload["item_ids"],
-        max_len=int(payload["max_len"]),
-        train=splits["train"],
-        valid=splits["valid"],
-        test=splits["test"],
-        groups={int(u): g for u, g in payload["groups"].items()},
-    )
+    if not isinstance(payload, dict) or payload.get("format") != SPLIT_FORMAT:
+        raise DataError(f"{path}: not a {SPLIT_FORMAT} artifact")
+    for key, kind in (("max_len", int), ("user_ids", list), ("item_ids", list), ("groups", dict), ("splits", dict)):
+        if not isinstance(payload.get(key), kind):
+            raise DataError(f"{path}: split artifact needs {key!r} as a JSON {kind.__name__}")
+    if payload["max_len"] < 1:
+        raise DataError(f"{path}: max_len must be >= 1, got {payload['max_len']}")
+    try:
+        groups = {int(u): g for u, g in payload["groups"].items()}
+        splits = {which: [SplitRow(*row) for row in payload["splits"][which]] for which in ("train", "valid", "test")}
+    except (KeyError, TypeError, ValueError) as err:
+        raise DataError(f"{path}: not a valid split artifact: {err!r}") from None
+    n_items = len(payload["item_ids"])
+    for which, rows in splits.items():
+        for k, row in enumerate(rows):
+            if fault := _row_fault(row, n_items, groups):
+                raise DataError(f"{path}: {which} row {k} {[row.user, row.inputs, row.target]!r}: {fault}")
+    return SplitDataset(payload["user_ids"], payload["item_ids"], payload["max_len"], **splits, groups=groups)

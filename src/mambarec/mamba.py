@@ -230,21 +230,20 @@ def mamba_forward(x: Tensor, p: MambaBlockParams) -> Tensor:
     """Full block forward; shape-preserving [B, L, D] -> [B, L, D]."""
     if x.ndim != 3:
         raise ShapeError(f"mamba_forward expects [B, L, D], got {x.shape}")
-    bsz, length, _ = x.shape
     d_inner = p.d_inner
     rank = p.dt_rank
     d_state = p.d_state
 
     xz = ad.matmul(x, p.in_proj)  # [B, L, 2*E*D]
-    u = ad.narrow(xz, -1, 0, d_inner)
-    z = ad.narrow(xz, -1, d_inner, d_inner)
+    u = ad.index(xz, np.s_[..., :d_inner])
+    z = ad.index(xz, np.s_[..., d_inner:])
 
     u = ad.silu(ad.conv1d_depthwise(u, p.conv_kernel, p.conv_bias))
 
     dbc = ad.matmul(u, p.x_proj)  # [B, L, rank + 2S]
-    dt = ad.softplus(ad.add(ad.matmul(ad.narrow(dbc, -1, 0, rank), p.dt_proj), p.dt_bias))
-    b_in = ad.narrow(dbc, -1, rank, d_state)
-    c_out = ad.narrow(dbc, -1, rank + d_state, d_state)
+    dt = ad.softplus(ad.add(ad.matmul(ad.index(dbc, np.s_[..., :rank]), p.dt_proj), p.dt_bias))
+    b_in = ad.index(dbc, np.s_[..., rank : rank + d_state])
+    c_out = ad.index(dbc, np.s_[..., rank + d_state :])
     a = ad.neg(ad.exp(p.A_log))  # strictly negative
 
     y = ssm_scan(u, dt, a, b_in, c_out, p.D_skip)

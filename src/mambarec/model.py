@@ -130,9 +130,9 @@ def score(
     The padding row is excluded, so it can never be ranked or targeted.
     """
     h = encode(params, batch, opts, rng=rng)
-    rep = ad.select(h, 1, h.shape[1] - 1)  # [B, D]; left-padding puts the newest item last
+    rep = ad.index(h, np.s_[:, -1])  # [B, D]; left-padding puts the newest item last
     table = params.embedding if params.out_embedding is None else params.out_embedding
-    items = ad.narrow(table, 0, 1, table.shape[0] - 1)  # drop padding row
+    items = ad.index(table, np.s_[1:])  # drop padding row
     return ad.matmul(rep, ad.transpose(items))
 
 

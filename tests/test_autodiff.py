@@ -1,8 +1,10 @@
 """Autodiff primitives: hand-checked point values, gradient oracles, tape behavior."""
 
+import ast
 import gc
 import math
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -48,8 +50,6 @@ def test_matmul_batched_broadcast_gradient():
     [
         (ad.sigmoid, 0.0, 0.5),
         (ad.silu, 0.0, 0.0),
-        (ad.relu, -2.0, 0.0),
-        (ad.tanh, 0.0, 0.0),
     ],
 )
 def test_activation_point_values(fn, x, expected):
@@ -71,7 +71,7 @@ def test_softplus_matches_logaddexp_without_overflow():
     assert ad.softplus(Tensor(x.astype(np.float32))).dtype == np.float32
 
 
-@pytest.mark.parametrize("fn", [ad.sigmoid, ad.tanh, ad.silu, ad.gelu, ad.exp, ad.softplus, ad.relu])
+@pytest.mark.parametrize("fn", [ad.sigmoid, ad.silu, ad.gelu, ad.exp, ad.softplus])
 def test_activation_gradients(fn):
     rng = np.random.default_rng(11)
     x = rand_tensor(rng, 17)
@@ -147,7 +147,7 @@ def test_layernorm_gradients():
     gain = rand_tensor(rng, 6)
     bias = rand_tensor(rng, 6)
     check_grads(
-        lambda: ad.tanh(ad.layernorm(x, gain, bias)).sum(),
+        lambda: ad.silu(ad.layernorm(x, gain, bias)).sum(),
         [("x", x), ("gain", gain), ("bias", bias)],
         tol=1e-5,
     )
@@ -239,7 +239,7 @@ def test_tape_graph_is_freed_without_the_cycle_collector():
     try:
         for _ in range(2):  # the second step rebinds tape and loss
             with Tape() as tape:
-                hidden = ad.tanh(ad.mul(x, 3.0))
+                hidden = ad.silu(ad.mul(x, 3.0))
                 loss = hidden.sum()
             tape.backward(loss)
             probe = weakref.ref(hidden.data)  # Tensor has __slots__; its buffer takes weakrefs
@@ -251,26 +251,15 @@ def test_tape_graph_is_freed_without_the_cycle_collector():
         gc.enable()
 
 
-def test_no_grad_suppresses_recording():
-    x = Tensor([1.0], requires_grad=True)
-    with Tape() as tape:
-        with ad.no_grad():
-            y = ad.mul(x, x)
-        assert not y.requires_grad
-        assert len(tape) == 0
-
-
 def test_shape_ops_gradients():
     rng = np.random.default_rng(14)
     x = rand_tensor(rng, 2, 4, 3)
 
     def fn():
-        a = ad.narrow(x, -1, 1, 2)
-        b = ad.select(x, 1, 2)
-        c = ad.reshape(a, (2, 8))
-        d = ad.concat((b, c), axis=-1)
-        e = ad.stack([d, ad.mul(d, 2.0)], axis=1)
-        return ad.mul(e, e).sum()
+        a = ad.index(x, np.s_[..., 1:3])
+        b = ad.index(x, np.s_[:, 2])
+        c = ad.take_along_time(a, np.tile(np.arange(4)[::-1], (2, 1)))
+        return ad.add(ad.mul(c, c).sum(), ad.mul(b, b).sum())
 
     check_grads(fn, [("x", x)], tol=1e-6)
 
@@ -302,3 +291,17 @@ def test_float32_ops_stay_float32():
     x = Tensor(np.ones((2, 2), dtype=np.float32))
     out = ad.gelu(ad.add(ad.mul(x, 0.5), 1.0))
     assert out.dtype == np.float32
+
+
+def test_every_public_op_has_a_caller_outside_the_tests():
+    root = Path(__file__).resolve().parents[1]
+    files = [f for f in (root / "src" / "mambarec").glob("*.py") if f.name != "autodiff.py"]
+    files += (root / "perfbench").glob("*.py")
+    used = set()
+    for path in files:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id in ("ad", "autodiff"):
+                used.add(node.attr)
+            elif isinstance(node, ast.ImportFrom) and (node.module or "").endswith("autodiff"):
+                used.update(alias.name for alias in node.names)
+    assert sorted(set(ad.__all__) - used) == []

@@ -219,6 +219,58 @@ def test_bench_empty_lengths_is_usage_error(tmp_path):
     assert rc == 2
 
 
+@pytest.fixture(scope="module")
+def trained(tmp_path_factory):
+    root = tmp_path_factory.mktemp("trained")
+    tsv = _write_tsv(root / "toy.tsv")
+    assert main(["prepare", "--out", str(root / "prep"), "--data", str(tsv), "--min-len", "1", "--max-len", "7"]) == 0
+    split = root / "prep" / "split.json"
+    assert main(["train", "--out", str(root / "run"), "--data", str(split), *_tiny_args()]) == 0
+    return split, root / "run" / "checkpoint.npz"
+
+
+def _corrupt_split(payload, case):
+    inputs, target = payload["splits"]["test"][0][1:]
+    k = len(payload["item_ids"])
+    if case == "input-above-catalog":
+        inputs[0] = k + 1
+    elif case == "input-negative":
+        inputs[0] = -1
+    elif case == "target-above-catalog":
+        payload["splits"]["test"][0][2] = k + 1
+    elif case == "target-zero":
+        payload["splits"]["test"][0][2] = 0
+    elif case == "string-id":
+        inputs[0] = str(inputs[0])
+    elif case == "empty-inputs":
+        inputs.clear()
+    elif case == "no-splits":
+        del payload["splits"]
+    elif case == "user-without-group":
+        del payload["groups"][str(payload["splits"]["test"][0][0])]
+    elif case == "max-len-zero":
+        payload["max_len"] = 0
+
+
+@pytest.mark.parametrize(
+    "case",
+    ["input-above-catalog", "input-negative", "target-above-catalog", "target-zero", "string-id",
+     "empty-inputs", "no-splits", "user-without-group", "max-len-zero"],
+)
+@pytest.mark.parametrize("command", ["train", "eval"])
+def test_malformed_split_is_data_error(tmp_path, capsys, trained, command, case):
+    split, ckpt = trained
+    payload = json.loads(split.read_text(encoding="utf-8"))
+    _corrupt_split(payload, case)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(payload), encoding="utf-8")
+    args = ["--checkpoint", str(ckpt)] if command == "eval" else _tiny_args()
+    rc = main([command, "--out", str(tmp_path / "x"), "--data", str(bad), *args])
+    err = capsys.readouterr().err
+    assert rc == 3
+    assert "bad.json" in err and "Traceback" not in err
+
+
 def test_missing_data_is_config_error(tmp_path):
     rc = main(["train", "--out", str(tmp_path / "x")])
     assert rc == 2

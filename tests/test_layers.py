@@ -431,7 +431,7 @@ def test_full_layer_gradients():
     opts = LayerOptions(keep_last=1)
     named = [("h", h)] + list(named_tensors(lp, "layer"))
     check_grads(
-        lambda: ad.mul(encoder_layer(h, lp, lens, opts), encoder_layer(h, lp, lens, opts)).mean(),
+        lambda: ad.mul(encoder_layer(h, lp, lens, opts), encoder_layer(h, lp, lens, opts)).sum(),
         named,
         tol=1e-4,
         max_entries=10,

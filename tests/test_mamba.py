@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from helpers import check_grads, rand_tensor
 
+import mambarec.autodiff as ad
 from mambarec.autodiff import Tape, Tensor
 from mambarec.errors import NumericError, ShapeError
 from mambarec.mamba import dt_rank_for, flush_negligible, init_mamba_params, mamba_forward, scan_tile, ssm_scan
@@ -167,7 +168,7 @@ def test_scan_gradients_of_all_six_inputs(length):
     u, delta, a, b, c, d = inputs = _scan_inputs(rng, length=length)
     w = Tensor(rng.normal(size=u.shape))
     named = list(zip(("u", "delta", "A", "B", "C", "D_skip"), inputs))
-    check_grads(lambda: (ssm_scan(u, delta, a, b, c, d) * w).sum(), named, tol=1e-6)
+    check_grads(lambda: ad.mul(ssm_scan(u, delta, a, b, c, d), w).sum(), named, tol=1e-6)
 
 
 def _multi_tile_shape(min_length=0):
@@ -195,7 +196,7 @@ def test_tiled_scan_gradients_of_all_six_inputs():
     u, delta, a, b, c, d = inputs = _scan_inputs(rng, bsz, length, d_inner, d_state)
     w = Tensor(rng.normal(size=u.shape))
     named = list(zip(("u", "delta", "A", "B", "C", "D_skip"), inputs))
-    check_grads(lambda: (ssm_scan(u, delta, a, b, c, d) * w).sum(), named, tol=1e-6, max_entries=16)
+    check_grads(lambda: ad.mul(ssm_scan(u, delta, a, b, c, d), w).sum(), named, tol=1e-6, max_entries=16)
 
 
 @pytest.mark.parametrize("taped", [False, True], ids=["untaped", "taped"])
