@@ -318,13 +318,14 @@ def index(a: Tensor, key) -> Tensor:
 def take_along_time(a: Tensor, index: np.ndarray) -> Tensor:
     """Gather along axis 1 with a per-row index map: ``out[b, t] = a[b, index[b, t]]``.
 
-    The backward pass scatter-adds, so the op stays correct even when the map
-    is not a permutation.
+    ``index`` is [B, L], or [B] to take one position per row (``out[b] =
+    a[b, index[b]]``). The backward pass scatter-adds, so the op stays correct
+    even when the map is not a permutation.
     """
     index = np.asarray(index)
-    if index.shape != a.shape[:2]:
+    if index.shape not in (a.shape[:2], a.shape[:1]):
         raise ShapeError(f"take_along_time: index shape {index.shape} != leading dims of {a.shape}")
-    rows = np.arange(a.shape[0])[:, None]
+    rows = np.arange(a.shape[0]).reshape((-1,) + (1,) * (index.ndim - 1))
     out = a.data[rows, index]
 
     def bwd(g):

@@ -13,6 +13,14 @@ from .errors import ConfigError
 
 __all__ = ["RunConfig"]
 
+# accepted Python types and their description, per field annotation (annotations are strings here)
+_FIELD_TYPES = {
+    "int": (int, "an integer"),
+    "float": ((int, float), "a number"),
+    "bool": (bool, "true or false"),
+    "str": (str, "a string"),
+}
+
 
 @dataclass
 class RunConfig:
@@ -49,6 +57,12 @@ class RunConfig:
     no_gru: bool = False
 
     def __post_init__(self):
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            types, description = _FIELD_TYPES[f.type]
+            # bool is an int subclass, so only a bool field takes True or False
+            if not isinstance(value, types) or (isinstance(value, bool) and f.type != "bool"):
+                raise ConfigError(f"{f.name} must be {description}, got {value!r}")
         if self.precision not in ("float32", "float64"):
             raise ConfigError(f"precision must be float32 or float64, got {self.precision!r}")
         for name in ("max_len", "dim", "n_layers", "conv_width", "d_state", "expand", "batch_size"):

@@ -67,7 +67,9 @@ class InteractionLog:
         timestamp = np.asarray(timestamp, dtype=np.int64)
         rating = np.asarray(rating, dtype=np.float64)
         first_seen, _ = _first_seen(user, len(user_ids))
-        order = np.lexsort((rating, timestamp, first_seen))
+        keys = (rating, timestamp, first_seen)
+        # lexsort is stable, so rows already in key order keep the identity order it would return
+        order = np.arange(user.size) if _in_key_order(keys) else np.lexsort(keys)
         log = cls(list(user_ids), list(item_ids), user, np.asarray(item, dtype=np.int64), timestamp, rating)
         return log.take(order)
 
@@ -97,6 +99,14 @@ class InteractionLog:
     @property
     def n_items(self) -> int:
         return len(self.item_ids)
+
+
+def _in_key_order(keys: tuple[np.ndarray, ...]) -> bool:
+    """Whether rows are nondecreasing in the keys, the last key primary, as ``np.lexsort`` orders them."""
+    ordered = np.ones(max(keys[0].size - 1, 0), dtype=bool)  # in order by the keys folded in so far
+    for key in keys:  # compared, not differenced: a difference of int64 timestamps can overflow
+        ordered = (key[1:] > key[:-1]) | ((key[1:] == key[:-1]) & ordered)
+    return bool(ordered.all())
 
 
 def _first_seen(codes: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:

@@ -255,36 +255,70 @@ def conv_gru(h: Tensor, p: ConvGruParams) -> Tensor:
     return ad._make(states[1:].swapaxes(0, 1), inputs, bwd)
 
 
-def bidirectional_mamba(h: Tensor, lp: LayerParams, lengths: np.ndarray, opts: LayerOptions) -> Tensor:
+def bidirectional_mamba(
+    h: Tensor, lp: LayerParams, lengths: np.ndarray, opts: LayerOptions, read_last: bool = False
+) -> Tensor:
     """Run the two directional blocks and combine them positionally.
 
     The flipped branch's output is flipped back before the sum so position t
     carries information about position t from both directions. The gate
     parameters are shared; the gate of the flipped branch reads the flipped
     input.
+
+    With ``read_last`` only the last column is computed, as [B, D]. The
+    flipped block is read at the column the flip-back maps there, and each
+    gate runs on the last ``conv_width`` columns, all that its causal conv
+    reads for the last one.
     """
-    m_fwd = mamba_forward(h, lp.mamba_fwd)
+    width = h.shape[1]
+    last = np.full(h.shape[0], width - 1) if read_last else None
+
+    def block(x, p, at):
+        # the full path calls a block with two arguments, the signature stand-in blocks implement
+        return mamba_forward(x, p) if at is None else mamba_forward(x, p, at)
+
+    def gate(x):
+        if last is None:
+            return dense_conv_gate(x, lp.gate)
+        window = ad.index(x, np.s_[:, -lp.gate.conv_kernel.shape[0] :])
+        return ad.index(dense_conv_gate(window, lp.gate), np.s_[:, -1])
+
+    m_fwd = block(h, lp.mamba_fwd, last)
     if opts.no_flip:
         h_rev = h
-        m_rev = mamba_forward(h, lp.mamba_rev)
+        m_rev = block(h, lp.mamba_rev, last)
     else:
         h_rev = partial_flip(h, lengths, opts.keep_last)
-        m_rev = partial_flip(mamba_forward(h_rev, lp.mamba_rev), lengths, opts.keep_last)
+        if last is None:
+            m_rev = partial_flip(mamba_forward(h_rev, lp.mamba_rev), lengths, opts.keep_last)
+        else:  # read the flipped block where the flip-back takes its last column from
+            rev_at = np.array([flip_index(int(n), opts.keep_last, width)[-1] for n in lengths], dtype=np.int64)
+            m_rev = mamba_forward(h_rev, lp.mamba_rev, rev_at)
     if opts.no_gate:
         return ad.add(m_fwd, m_rev)
-    gated_fwd = ad.mul(dense_conv_gate(h, lp.gate), m_fwd)
-    gated_rev = ad.mul(dense_conv_gate(h_rev, lp.gate), m_rev)
+    gated_fwd = ad.mul(gate(h), m_fwd)
+    gated_rev = ad.mul(gate(h_rev), m_rev)
     return ad.add(gated_fwd, gated_rev)
 
 
-def dropout(x: Tensor, rate: float, rng: np.random.Generator) -> Tensor:
-    """Inverted dropout; identity when rate <= 0."""
+def dropout(x: Tensor, rate: float, rng: np.random.Generator, width: int | None = None) -> Tensor:
+    """Inverted dropout; identity when rate <= 0.
+
+    With ``width``, ``x`` [B, D] is the last column of a [B, width, D]
+    sequence: the mask is drawn for the whole sequence and its last column
+    used, so the random stream does not depend on how many columns were
+    computed.
+    """
     if rate <= 0.0:
         return x
     if rate >= 1.0:
         raise ConfigError(f"dropout rate must be < 1, got {rate}")
     keep = 1.0 - rate
-    mask = (rng.random(x.shape) < keep).astype(x.data.dtype) / keep
+    if width is None:
+        draw = rng.random(x.shape)
+    else:
+        draw = rng.random((x.shape[0], width, x.shape[1]))[:, -1]
+    mask = (draw < keep).astype(x.data.dtype) / keep
     return ad.mul(x, Tensor(mask))
 
 
@@ -294,25 +328,34 @@ def encoder_layer(
     lengths: np.ndarray,
     opts: LayerOptions,
     rng: np.random.Generator | None = None,
+    read_last: bool = False,
 ) -> Tensor:
     """One full layer: branch mix -> dense -> PFFN -> dropout -> norm(residual).
 
     Dropout runs exactly when ``rng`` is given: the trainer passes its dropout
-    stream, and evaluation passes none.
+    stream, and evaluation passes none. With ``read_last`` the layer computes
+    only its last column and returns it as [B, 1, D]. Inside, that column is
+    [B, D]: numpy would run a [B, 1, D] product as B vector products, whose
+    sums round differently from the full layer's matrix products.
     """
-    m = bidirectional_mamba(h_in, lp, lengths, opts)
+    m = bidirectional_mamba(h_in, lp, lengths, opts, read_last=read_last)
     if opts.no_gru:
         mixed = m
     else:
-        mixed = ad.add(ad.mul(lp.mix_ssm, m), ad.mul(lp.mix_gru, conv_gru(h_in, lp.gru)))
+        gru = conv_gru(h_in, lp.gru)  # its recurrence reads every column, even when one is kept
+        if read_last:
+            gru = ad.index(gru, np.s_[:, -1])
+        mixed = ad.add(ad.mul(lp.mix_ssm, m), ad.mul(lp.mix_gru, gru))
     mixed = ad.add(ad.matmul(mixed, lp.mix_w), lp.mix_b)
     ff = ad.add(
         ad.matmul(ad.gelu(ad.add(ad.matmul(mixed, lp.ff_in_w), lp.ff_in_b)), lp.ff_out_w),
         lp.ff_out_b,
     )
     if rng is not None:
-        ff = dropout(ff, opts.dropout, rng)
-    return ad.layernorm(ad.add(ff, h_in), lp.norm_gain, lp.norm_bias)
+        ff = dropout(ff, opts.dropout, rng, width=h_in.shape[1] if read_last else None)
+    residual = ad.index(h_in, np.s_[:, -1]) if read_last else h_in
+    out = ad.layernorm(ad.add(ff, residual), lp.norm_gain, lp.norm_bias)
+    return ad.index(out, np.s_[:, None]) if read_last else out
 
 
 def encoder_stack(
@@ -321,9 +364,11 @@ def encoder_stack(
     lengths: np.ndarray,
     opts: LayerOptions,
     rng: np.random.Generator | None = None,
+    read_last: bool = False,
 ) -> Tensor:
+    """Run the layers in order; with ``read_last`` the last layer returns only its last column."""
     if not layers:
         raise ConfigError("encoder_stack needs at least one layer")
-    for lp in layers:
-        h = encoder_layer(h, lp, lengths, opts, rng=rng)
+    for i, lp in enumerate(layers):
+        h = encoder_layer(h, lp, lengths, opts, rng=rng, read_last=read_last and i == len(layers) - 1)
     return h

@@ -121,21 +121,27 @@ def flush_negligible(x: np.ndarray) -> None:
     np.copyto(x, 0, where=np.abs(x) < info.tiny / info.eps)
 
 
-def ssm_scan(u: Tensor, delta: Tensor, A: Tensor, B: Tensor, C: Tensor, D_skip: Tensor) -> Tensor:
+def ssm_scan(
+    u: Tensor, delta: Tensor, A: Tensor, B: Tensor, C: Tensor, D_skip: Tensor, at: np.ndarray | None = None
+) -> Tensor:
     """Left-to-right selective scan, recorded as one tape op.
 
     Discretizes per step as A_bar = exp(delta * A), B_bar = delta * B, then
     runs h_t = A_bar_t * h_{t-1} + B_bar_t * u_t and reads out
     y_t = sum_s C_t[s] * h_t[:, s] + D_skip * u_t. Shapes: u/delta [B, L, E*D],
     A [E*D, S], B/C [B, L, S], D_skip [E*D]. Sequential in L by contract.
+    With ``at`` (one step per row, [B] ints) the readout runs at that step
+    only and the output is [B, E*D]: row b holds y_{at[b]}.
 
     Rows are independent, so the scan walks tiles of a few rows by a few steps
     (``scan_tile``). Per tile, A_bar and the drive B_bar * u are formed in bulk,
     the loop only multiplies and adds in place, and the readout is one batched
     matmul. Only a recorded call keeps the states (one [L, B, E*D, S] buffer);
-    an untaped call reuses one tile of scratch. The backward walks the same
-    tiles right to left, recomputes A_bar, carries only the state gradient
-    through the loop, and takes every other gradient from batched matmuls.
+    an untaped call reuses one tile of scratch, from which an ``at`` call
+    copies each row's read state. The backward walks the same tiles right to
+    left, recomputes A_bar, carries only the state gradient through the loop,
+    and takes every other gradient from batched matmuls; an ``at`` call first
+    scatters its gradient into a zero [B, L, E*D] array.
     """
     if u.ndim != 3 or delta.shape != u.shape:
         raise ShapeError(f"ssm_scan: u {u.shape} and delta {delta.shape} must both be [B, L, E*D]")
@@ -143,6 +149,10 @@ def ssm_scan(u: Tensor, delta: Tensor, A: Tensor, B: Tensor, C: Tensor, D_skip: 
     d_state = A.shape[1]
     if A.shape != (d_inner, d_state) or B.shape != (bsz, length, d_state) or C.shape != B.shape:
         raise ShapeError(f"ssm_scan: inconsistent shapes A={A.shape} B={B.shape} C={C.shape}")
+    if at is not None:
+        at = np.asarray(at)
+        if at.shape != (bsz,) or not np.issubdtype(at.dtype, np.integer) or ((at < 0) | (at >= length)).any():
+            raise ShapeError(f"ssm_scan: at must hold one step in [0, {length}) per row, got {at}")
 
     inputs = (u, delta, A, B, C, D_skip)
     uu, dd, a, bb, cc, dsk = (t.data for t in inputs)
@@ -169,6 +179,11 @@ def ssm_scan(u: Tensor, delta: Tensor, A: Tensor, B: Tensor, C: Tensor, D_skip: 
                 yield t0, t1, b0, b1, dec, scratch[: shape[0] * shape[1]].reshape(shape)
 
     y = np.empty_like(uu)
+    readers: dict[tuple[int, int], list[int]] = {}  # untaped ``at`` call: (b0, t0) of a tile -> rows it reads
+    if at is not None and not recording:
+        h_at = np.empty((bsz, d_inner, d_state), dtype=uu.dtype)
+        for b, t in enumerate(at.tolist()):
+            readers.setdefault((b - b % rows, t - t % steps), []).append(b)
     first_bad = length
     for t0, t1, b0, b1, dec, tile in tiles():
         if t0 == 0:
@@ -184,7 +199,11 @@ def ssm_scan(u: Tensor, delta: Tensor, A: Tensor, B: Tensor, C: Tensor, D_skip: 
             first_bad = min(first_bad, t0 + int(np.argmin(np.isfinite(hs).all(axis=(1, 2, 3)))))
             continue  # later tiles of this row block cannot lower first_bad; the error waits for the other rows
         h = hs[-1].copy()
-        y.swapaxes(0, 1)[t0:t1, b0:b1] = (hs @ c_tm[t0:t1, b0:b1, :, None])[..., 0]
+        if at is None:
+            y.swapaxes(0, 1)[t0:t1, b0:b1] = (hs @ c_tm[t0:t1, b0:b1, :, None])[..., 0]
+        elif (b0, t0) in readers:
+            read = np.array(readers[b0, t0])
+            h_at[read] = tile[at[read] - t0, read - b0]
     if first_bad < length:
         raise NumericError(f"ssm_scan: non-finite hidden state at step {first_bad}")
 
@@ -223,20 +242,41 @@ def ssm_scan(u: Tensor, delta: Tensor, A: Tensor, B: Tensor, C: Tensor, D_skip: 
             gdelta_tm[t0:t1, b0:b1] = gd
         return gu, gdelta, ga, gb, gc, (g * uu).sum(axis=(0, 1))
 
-    return ad._make(y + uu * dsk, inputs, bwd)
+    if at is None:
+        return ad._make(y + uu * dsk, inputs, bwd)
+    rows_at = np.arange(bsz)
+    h_read = states[at, rows_at] if recording else h_at
+    y = (h_read @ cc[rows_at, at, :, None])[..., 0] + uu[rows_at, at] * dsk
+
+    def bwd_at(g):
+        g_full = np.zeros_like(uu)
+        g_full[rows_at, at] = g
+        return bwd(g_full)
+
+    return ad._make(y, inputs, bwd_at)
 
 
-def mamba_forward(x: Tensor, p: MambaBlockParams) -> Tensor:
-    """Full block forward; shape-preserving [B, L, D] -> [B, L, D]."""
+def mamba_forward(x: Tensor, p: MambaBlockParams, at: np.ndarray | None = None) -> Tensor:
+    """Full block forward; shape-preserving [B, L, D] -> [B, L, D].
+
+    With ``at`` (one step per row, [B] ints) only those steps are read out:
+    the output is [B, D], row b holding step at[b] of the full output. The
+    state path still runs over every step; the gate path z, the gating and
+    the output projection run at the read step only.
+    """
     if x.ndim != 3:
         raise ShapeError(f"mamba_forward expects [B, L, D], got {x.shape}")
     d_inner = p.d_inner
     rank = p.dt_rank
     d_state = p.d_state
 
-    xz = ad.matmul(x, p.in_proj)  # [B, L, 2*E*D]
-    u = ad.index(xz, np.s_[..., :d_inner])
-    z = ad.index(xz, np.s_[..., d_inner:])
+    if at is None:
+        xz = ad.matmul(x, p.in_proj)  # [B, L, 2*E*D]
+        u = ad.index(xz, np.s_[..., :d_inner])
+        z = ad.index(xz, np.s_[..., d_inner:])
+    else:
+        u = ad.matmul(x, ad.index(p.in_proj, np.s_[:, :d_inner]))
+        z = ad.matmul(ad.take_along_time(x, at), ad.index(p.in_proj, np.s_[:, d_inner:]))  # [B, E*D]
 
     u = ad.silu(ad.conv1d_depthwise(u, p.conv_kernel, p.conv_bias))
 
@@ -246,6 +286,6 @@ def mamba_forward(x: Tensor, p: MambaBlockParams) -> Tensor:
     c_out = ad.index(dbc, np.s_[..., rank + d_state :])
     a = ad.neg(ad.exp(p.A_log))  # strictly negative
 
-    y = ssm_scan(u, dt, a, b_in, c_out, p.D_skip)
+    y = ssm_scan(u, dt, a, b_in, c_out, p.D_skip, at=at)
     y = ad.mul(y, ad.silu(z))
     return ad.matmul(y, p.out_proj)

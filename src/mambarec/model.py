@@ -114,9 +114,12 @@ def encode(
     opts: LayerOptions,
     rng: np.random.Generator | None = None,
 ) -> Tensor:
-    """Embed a batch and run the encoder stack; returns [B, N, D]."""
+    """Embed a batch and run the encoder stack; returns its last column, [B, 1, D].
+
+    Scoring reads only that column, so the last layer computes nothing else.
+    """
     h = embed(params, batch.items)
-    return encoder_stack(h, params.layers, batch.lengths, opts, rng=rng)
+    return encoder_stack(h, params.layers, batch.lengths, opts, rng=rng, read_last=True)
 
 
 def score(

@@ -276,6 +276,25 @@ def test_missing_data_is_config_error(tmp_path):
     assert rc == 2
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [("dim", "abc"), ("n_layers", 1.5), ("epochs", True), ("lr", "fast"), ("dropout", False),
+     ("no_gate", "yes"), ("tie_output", 1), ("precision", 32), ("data", 3)],
+)
+def test_config_field_of_the_wrong_type_is_config_error(tmp_path, capsys, field, value):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({field: value}), encoding="utf-8")
+    rc = main(["train", "--out", str(tmp_path / "x"), "--config", str(cfg)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert f"{field} must be" in err and "Traceback" not in err
+
+
+def test_config_float_fields_take_integers():
+    cfg = RunConfig.from_dict({"lr": 1, "dropout": 0, "grad_clip": 5})
+    assert (cfg.lr, cfg.dropout, cfg.grad_clip) == (1, 0, 5)
+
+
 def test_bad_split_file_is_data_error(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json", encoding="utf-8")

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import reference_data
 from reference_data import Interaction, InteractionSequence, log_of, sequences_of
 
 from mambarec.data import (
@@ -17,6 +18,7 @@ from mambarec.data import (
     write_tsv,
 )
 from mambarec.errors import ContractError, DataError
+from perfbench import gen
 
 
 def _write(tmp_path, text, name="data.tsv"):
@@ -113,6 +115,19 @@ def test_ingest_keeps_file_order_on_full_ties(tmp_path):
     rows = "".join(f"u1\ti{k}\t7\t3\n" for k in (4, 1, 3, 0, 2))
     path = _write(tmp_path, "user_id\titem_id\ttimestamp\trating\n" + rows)
     assert [it.item_id for it in sequences_of(ingest(path))[0].items] == ["i4", "i1", "i3", "i0", "i2"]
+
+
+def test_ingest_of_rows_already_in_order_skips_the_sort(tmp_path, monkeypatch):
+    # a generated log lists each user's rows together, in time order
+    path = _write(tmp_path, gen.tsv_text(gen.generate(gen.Shape("small", users=200, items=80, mean_len=10.0), 3)))
+
+    def no_sort(*args, **kwargs):
+        raise AssertionError("np.lexsort ran on rows already in order")
+
+    monkeypatch.setattr(np, "lexsort", no_sort)
+    got = sequences_of(ingest(path))
+    assert len(got) == 200
+    assert got == reference_data.ingest(path)
 
 
 @pytest.mark.parametrize("ts", [str(2**63), str(-(2**63) - 1)])

@@ -297,3 +297,87 @@ def test_block_gradients():
         "in_proj", "conv_kernel", "conv_bias", "x_proj", "dt_proj", "dt_bias", "A_log", "D_skip", "out_proj",
     )]
     check_grads(lambda: mamba_forward(x, p).sum(), named, tol=1e-5, max_entries=24)
+
+
+# ---------------------------------------------------------------------------
+# reading one step per row (``at``)
+
+
+def _read_steps(bsz, length, rng):
+    """One step per row, covering the first and the last step."""
+    at = rng.integers(0, length, size=bsz)
+    at[0], at[-1] = 0, length - 1
+    return at
+
+
+@pytest.mark.parametrize("taped", [False, True], ids=["untaped", "taped"])
+def test_scan_read_at_one_step_per_row_matches_dense_unrolled_oracle(taped):
+    bsz, length, d_inner, d_state = _multi_tile_shape()
+    rng = np.random.default_rng(18)
+    inputs = _scan_inputs(rng, bsz, length, d_inner, d_state)
+    at = _read_steps(bsz, length, rng)
+    with Tape() if taped else nullcontext():
+        got = ssm_scan(*inputs, at=at)
+    expected = unrolled_scan_oracle(*(t.data for t in inputs))[np.arange(bsz), at]
+    assert got.shape == (bsz, d_inner)
+    np.testing.assert_allclose(got.data, expected, rtol=1e-12, atol=1e-12)
+
+
+def test_scan_read_at_gradients_of_all_six_inputs():
+    rng = np.random.default_rng(19)
+    bsz, length, d_inner, d_state = _multi_tile_shape()
+    u, delta, a, b, c, d = inputs = _scan_inputs(rng, bsz, length, d_inner, d_state)
+    at = _read_steps(bsz, length, rng)
+    w = Tensor(rng.normal(size=(bsz, d_inner)))
+    named = list(zip(("u", "delta", "A", "B", "C", "D_skip"), inputs))
+    check_grads(lambda: ad.mul(ssm_scan(u, delta, a, b, c, d, at=at), w).sum(), named, tol=1e-6, max_entries=16)
+
+
+def test_recorded_scan_read_at_is_one_tape_record():
+    inputs = _scan_inputs(np.random.default_rng(20), length=8)
+    with Tape() as tape:
+        ssm_scan(*inputs, at=np.array([7, 2]))
+    assert len(tape) == 1
+
+
+@pytest.mark.parametrize("taped", [False, True], ids=["untaped", "taped"])
+def test_scan_read_at_reports_the_earliest_blowup_over_all_rows(taped):
+    # the recurrence still runs every step, so a blow-up after the read step is reported too
+    bsz, length, d_inner, d_state = _multi_tile_shape(min_length=31)
+    rows, _ = scan_tile(bsz, length, d_inner, d_state, 8)
+    u, delta, a, b, c, d = inputs = _scan_inputs(np.random.default_rng(21), bsz, length, d_inner, d_state)
+    for row, step in ((rows, 9), (0, 30)):
+        u.data[row, step] = 1e300
+        b.data[row, step] = 1e300
+    with Tape() if taped else nullcontext():
+        with pytest.raises(NumericError, match="step 9$"):
+            ssm_scan(*inputs, at=np.zeros(bsz, dtype=np.int64))
+
+
+@pytest.mark.parametrize("at", [np.array([0]), np.array([0, 8]), np.array([-1, 0]), np.array([0.0, 1.0])])
+def test_scan_read_at_rejects_steps_outside_the_rows(at):
+    with pytest.raises(ShapeError):
+        ssm_scan(*_scan_inputs(np.random.default_rng(22), length=8), at=at)
+
+
+def test_block_read_at_matches_the_stepwise_oracle():
+    rng = np.random.default_rng(23)
+    p = init_mamba_params(rng, dim=6, d_state=5, d_conv=3, expand=2, dtype=np.float64)
+    x = rng.normal(size=(4, 12, 6))
+    at = _read_steps(4, 12, rng)
+    got = mamba_forward(Tensor(x), p, at)
+    assert got.shape == (4, 6)
+    np.testing.assert_allclose(got.data, stepwise_block_oracle(x, p)[np.arange(4), at], atol=1e-10)
+    full = mamba_forward(Tensor(x), p).data[np.arange(4), at]
+    np.testing.assert_allclose(got.data, full, rtol=0, atol=1e-12 * np.abs(full).max())
+
+
+def test_block_read_at_gradients():
+    rng = np.random.default_rng(24)
+    p = init_mamba_params(rng, dim=4, d_state=3, d_conv=2, expand=2, dtype=np.float64)
+    x = rand_tensor(rng, 3, 5, 4, scale=0.5)
+    at = np.array([4, 0, 2])
+    named = [("x", x)] + [(f, getattr(p, f)) for f in (
+        "in_proj", "conv_kernel", "conv_bias", "x_proj", "dt_proj", "dt_bias", "A_log", "D_skip", "out_proj",
+    )]
+    check_grads(lambda: mamba_forward(x, p, at).sum(), named, tol=1e-5, max_entries=24)

@@ -12,6 +12,7 @@ from mambarec.autodiff import Tensor
 from mambarec.config import RunConfig
 from mambarec.data import Batch, make_batch, split_leave_one_out
 from mambarec.errors import ConfigError, ContractError
+from mambarec.layers import encoder_stack
 from mambarec.metrics import rank_targets_batch
 from mambarec.model import (
     batch_loss,
@@ -189,6 +190,58 @@ def test_model_gradients_reach_every_parameter():
     opts = layer_options(cfg)
     named = list(named_tensors(params))
     check_grads(lambda: batch_loss(params, batch, opts), named, tol=1e-4, max_entries=6)
+
+
+def _full_encoder_loss(params, batch, opts, rng):
+    """Logits and loss read from the last column of the full encoder output."""
+    h = encoder_stack(embed(params, batch.items), params.layers, batch.lengths, opts, rng=rng)
+    logits = ad.matmul(ad.index(h, np.s_[:, -1]), ad.transpose(ad.index(params.embedding, np.s_[1:])))
+    return logits, ad.softmax_cross_entropy(logits, batch.targets - 1)
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        {}, {"n_layers": 2}, {"flip_keep": 0}, {"n_layers": 2, "flip_keep": 0}, {"flip_keep": 1},
+        {"n_layers": 2, "flip_keep": 1}, {"no_flip": True}, {"no_gate": True}, {"no_gru": True},
+        {"max_len": 3, "flip_keep": 0},
+    ],
+    ids=lambda o: ",".join(f"{k}={v}" for k, v in o.items()) or "default",
+)
+def test_read_column_encoder_matches_the_full_encoder(overrides):
+    """score and batch_loss compute only the last column; the full encoder's last column agrees."""
+    cfg = _cfg(**{"max_len": 9, "flip_keep": 5, "conv_width": 4, "dropout": 0.3, **overrides})
+    params = init_model_params(cfg, n_items=20, rng=np.random.default_rng(11))
+    rng = np.random.default_rng(12)
+    for _, t in named_tensors(params):  # off the initial scale, so every branch shows in the logits
+        t.data += rng.normal(0.0, 0.2, size=t.shape)
+    params.embedding.data[0] = 0.0
+    width = cfg.max_len
+    lengths = np.minimum([width, width - 1, 0, 1, 2, 6], width)
+    items = rng.integers(1, 21, size=(lengths.size, width))
+    items[np.arange(width) < (width - lengths)[:, None]] = 0
+    batch = Batch(items, lengths, rng.integers(1, 21, size=lengths.size), np.arange(lengths.size))
+    opts = layer_options(cfg)
+
+    logits = score(params, batch, opts).data
+    expected, _ = _full_encoder_loss(params, batch, opts, None)
+    np.testing.assert_allclose(logits, expected.data, rtol=0, atol=1e-12 * np.abs(expected.data).max())
+
+    grads = []
+    for loss_fn in (batch_loss, lambda *a: _full_encoder_loss(*a)[1]):
+        for _, t in named_tensors(params):
+            t.grad = None
+        with ad.Tape() as tape:
+            loss = loss_fn(params, batch, opts, np.random.default_rng(13))  # dropout on
+        tape.backward(loss)
+        grads.append((loss.data, {name: t.grad for name, t in named_tensors(params)}))
+    (loss_read, g_read), (loss_full, g_full) = grads
+    assert loss_read == loss_full
+    for name, g in g_full.items():
+        if g is None:
+            assert g_read[name] is None or not g_read[name].any(), name
+            continue
+        np.testing.assert_allclose(g_read[name], g, rtol=0, atol=1e-12 * np.abs(g).max(), err_msg=name)
 
 
 def test_checkpoint_roundtrip_bit_exact(tmp_path):
