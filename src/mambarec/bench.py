@@ -11,6 +11,7 @@ from __future__ import annotations
 import gc
 import time
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -57,22 +58,26 @@ class BenchRow:
     median_s: float
 
 
-def _time_fn(fn, warmup: int, reps: int) -> float:
+def _median_times(fns, warmup: int, reps: int) -> list[float]:
+    """Median wall time of each of ``fns``, which take turns inside every
+    warm-up and timed rep, so a slow stretch of the machine hits them alike."""
     for _ in range(warmup):
-        fn()
-    times = []
+        for fn in fns:
+            fn()
+    times = [[] for _ in fns]
     was_enabled = gc.isenabled()
     gc.disable()  # collector pauses otherwise dominate the small-N timings
     try:
         for _ in range(reps):
-            t0 = time.perf_counter()
-            fn()
-            times.append(time.perf_counter() - t0)
+            for fn, fn_times in zip(fns, times):
+                t0 = time.perf_counter()
+                fn()
+                fn_times.append(time.perf_counter() - t0)
     finally:
         if was_enabled:
             gc.enable()
         gc.collect()
-    return float(np.median(times))
+    return [float(np.median(t)) for t in times]
 
 
 def run_bench(
@@ -87,6 +92,9 @@ def run_bench(
         raise ConfigError("bench needs a non-empty list of lengths")
     if any(n < 2 for n in lengths):
         raise ConfigError("bench lengths must be >= 2")
+    for name, value, least in (("batch", batch, 1), ("reps", reps, 1), ("warmup", warmup, 0)):
+        if value < least:
+            raise ConfigError(f"bench {name} must be >= {least}, got {value}")
     dtype = np.dtype(cfg.precision)
     rng = np.random.default_rng(cfg.seed)
     layers = [
@@ -95,16 +103,14 @@ def run_bench(
     ]
     attn = init_attention_params(rng, cfg.dim, dtype)
     opts = layer_options(cfg)
-    rows: list[BenchRow] = []
+    cases = []  # (model, length, forward)
     for n in sorted(lengths):
         x = rng.normal(0.0, 1.0, size=(batch, n, cfg.dim)).astype(dtype)
         lens = np.full(batch, n, dtype=np.int64)
-        enc_in = Tensor(x)
-        rows.append(
-            BenchRow("encoder", n, _time_fn(lambda: encoder_stack(enc_in, layers, lens, opts), warmup, reps))
-        )
-        rows.append(BenchRow("attention", n, _time_fn(lambda: attention_forward(x, attn), warmup, reps)))
-    return rows
+        cases.append(("encoder", n, partial(encoder_stack, Tensor(x), layers, lens, opts)))
+        cases.append(("attention", n, partial(attention_forward, x, attn)))
+    medians = _median_times([fn for _, _, fn in cases], warmup, reps)
+    return [BenchRow(model, n, t) for (model, n, _), t in zip(cases, medians)]
 
 
 def doubling_ratios(rows: list[BenchRow], model: str) -> list[tuple[int, int, float]]:

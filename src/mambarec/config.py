@@ -65,11 +65,12 @@ class RunConfig:
                 raise ConfigError(f"{f.name} must be {description}, got {value!r}")
         if self.precision not in ("float32", "float64"):
             raise ConfigError(f"precision must be float32 or float64, got {self.precision!r}")
-        for name in ("max_len", "dim", "n_layers", "conv_width", "d_state", "expand", "batch_size"):
+        at_least_one = ("max_len", "dim", "n_layers", "conv_width", "d_state", "expand", "batch_size", "eval_every", "runs")
+        for name in at_least_one:
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
-        for name in ("flip_keep", "epochs", "min_len", "max_len_cap", "grad_clip", "patience"):
-            if getattr(self, name) < 0:
+        for name in ("flip_keep", "epochs", "min_len", "max_len_cap", "grad_clip", "patience", "lr"):
+            if not getattr(self, name) >= 0:  # NaN fails this too
                 raise ConfigError(f"{name} must be >= 0, got {getattr(self, name)}")
         if not 0.0 <= self.dropout < 1.0:
             raise ConfigError(f"dropout must be in [0, 1), got {self.dropout}")

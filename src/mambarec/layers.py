@@ -273,20 +273,16 @@ def bidirectional_mamba(
     width = h.shape[1]
     last = np.full(h.shape[0], width - 1) if read_last else None
 
-    def block(x, p, at):
-        # the full path calls a block with two arguments, the signature stand-in blocks implement
-        return mamba_forward(x, p) if at is None else mamba_forward(x, p, at)
-
     def gate(x):
         if last is None:
             return dense_conv_gate(x, lp.gate)
         window = ad.index(x, np.s_[:, -lp.gate.conv_kernel.shape[0] :])
         return ad.index(dense_conv_gate(window, lp.gate), np.s_[:, -1])
 
-    m_fwd = block(h, lp.mamba_fwd, last)
+    m_fwd = mamba_forward(h, lp.mamba_fwd, last)
     if opts.no_flip:
         h_rev = h
-        m_rev = block(h, lp.mamba_rev, last)
+        m_rev = mamba_forward(h, lp.mamba_rev, last)
     else:
         h_rev = partial_flip(h, lengths, opts.keep_last)
         if last is None:
@@ -301,23 +297,14 @@ def bidirectional_mamba(
     return ad.add(gated_fwd, gated_rev)
 
 
-def dropout(x: Tensor, rate: float, rng: np.random.Generator, width: int | None = None) -> Tensor:
-    """Inverted dropout; identity when rate <= 0.
-
-    With ``width``, ``x`` [B, D] is the last column of a [B, width, D]
-    sequence: the mask is drawn for the whole sequence and its last column
-    used, so the random stream does not depend on how many columns were
-    computed.
-    """
+def dropout(x: Tensor, rate: float, draw: np.ndarray) -> Tensor:
+    """Inverted dropout: keeps the entries whose uniform ``draw`` (shaped like
+    ``x``) is below 1 - rate; identity when rate <= 0."""
     if rate <= 0.0:
         return x
     if rate >= 1.0:
         raise ConfigError(f"dropout rate must be < 1, got {rate}")
     keep = 1.0 - rate
-    if width is None:
-        draw = rng.random(x.shape)
-    else:
-        draw = rng.random((x.shape[0], width, x.shape[1]))[:, -1]
     mask = (draw < keep).astype(x.data.dtype) / keep
     return ad.mul(x, Tensor(mask))
 
@@ -333,10 +320,11 @@ def encoder_layer(
     """One full layer: branch mix -> dense -> PFFN -> dropout -> norm(residual).
 
     Dropout runs exactly when ``rng`` is given: the trainer passes its dropout
-    stream, and evaluation passes none. With ``read_last`` the layer computes
-    only its last column and returns it as [B, 1, D]. Inside, that column is
-    [B, D]: numpy would run a [B, 1, D] product as B vector products, whose
-    sums round differently from the full layer's matrix products.
+    stream, and evaluation passes none. The draws cover every column, so the
+    stream does not depend on how many are computed. With ``read_last`` the
+    layer computes only its last column and returns it as [B, D]; a [B, 1, D]
+    column would not do, since numpy runs its products as B vector products,
+    whose sums round differently from the full layer's matrix products.
     """
     m = bidirectional_mamba(h_in, lp, lengths, opts, read_last=read_last)
     if opts.no_gru:
@@ -351,11 +339,11 @@ def encoder_layer(
         ad.matmul(ad.gelu(ad.add(ad.matmul(mixed, lp.ff_in_w), lp.ff_in_b)), lp.ff_out_w),
         lp.ff_out_b,
     )
-    if rng is not None:
-        ff = dropout(ff, opts.dropout, rng, width=h_in.shape[1] if read_last else None)
+    if rng is not None and opts.dropout > 0.0:
+        draw = rng.random(h_in.shape)
+        ff = dropout(ff, opts.dropout, draw[:, -1] if read_last else draw)
     residual = ad.index(h_in, np.s_[:, -1]) if read_last else h_in
-    out = ad.layernorm(ad.add(ff, residual), lp.norm_gain, lp.norm_bias)
-    return ad.index(out, np.s_[:, None]) if read_last else out
+    return ad.layernorm(ad.add(ff, residual), lp.norm_gain, lp.norm_bias)
 
 
 def encoder_stack(
@@ -366,7 +354,7 @@ def encoder_stack(
     rng: np.random.Generator | None = None,
     read_last: bool = False,
 ) -> Tensor:
-    """Run the layers in order; with ``read_last`` the last layer returns only its last column."""
+    """Run the layers in order; with ``read_last`` the last layer returns only its last column, [B, D]."""
     if not layers:
         raise ConfigError("encoder_stack needs at least one layer")
     for i, lp in enumerate(layers):

@@ -137,11 +137,12 @@ def ssm_scan(
     (``scan_tile``). Per tile, A_bar and the drive B_bar * u are formed in bulk,
     the loop only multiplies and adds in place, and the readout is one batched
     matmul. Only a recorded call keeps the states (one [L, B, E*D, S] buffer);
-    an untaped call reuses one tile of scratch, from which an ``at`` call
-    copies each row's read state. The backward walks the same tiles right to
-    left, recomputes A_bar, carries only the state gradient through the loop,
-    and takes every other gradient from batched matmuls; an ``at`` call first
-    scatters its gradient into a zero [B, L, E*D] array.
+    an untaped call reuses one tile of scratch. Either way an ``at`` call
+    copies each row's read state out of its tile and reads them out once at
+    the end. The backward walks the same tiles right to left, recomputes
+    A_bar, carries only the state gradient through the loop, and takes every
+    other gradient from batched matmuls; an ``at`` call first scatters its
+    gradient into a zero [B, L, E*D] array.
     """
     if u.ndim != 3 or delta.shape != u.shape:
         raise ShapeError(f"ssm_scan: u {u.shape} and delta {delta.shape} must both be [B, L, E*D]")
@@ -179,11 +180,8 @@ def ssm_scan(
                 yield t0, t1, b0, b1, dec, scratch[: shape[0] * shape[1]].reshape(shape)
 
     y = np.empty_like(uu)
-    readers: dict[tuple[int, int], list[int]] = {}  # untaped ``at`` call: (b0, t0) of a tile -> rows it reads
-    if at is not None and not recording:
-        h_at = np.empty((bsz, d_inner, d_state), dtype=uu.dtype)
-        for b, t in enumerate(at.tolist()):
-            readers.setdefault((b - b % rows, t - t % steps), []).append(b)
+    if at is not None:  # h_at[b] gets row b's state at step at[b]
+        read_at, h_at = at.tolist(), np.empty((bsz, d_inner, d_state), dtype=uu.dtype)
     first_bad = length
     for t0, t1, b0, b1, dec, tile in tiles():
         if t0 == 0:
@@ -201,9 +199,10 @@ def ssm_scan(
         h = hs[-1].copy()
         if at is None:
             y.swapaxes(0, 1)[t0:t1, b0:b1] = (hs @ c_tm[t0:t1, b0:b1, :, None])[..., 0]
-        elif (b0, t0) in readers:
-            read = np.array(readers[b0, t0])
-            h_at[read] = tile[at[read] - t0, read - b0]
+        else:
+            for b in range(b0, b1):
+                if t0 <= read_at[b] < t1:
+                    h_at[b] = hs[read_at[b] - t0, b - b0]
     if first_bad < length:
         raise NumericError(f"ssm_scan: non-finite hidden state at step {first_bad}")
 
@@ -245,8 +244,7 @@ def ssm_scan(
     if at is None:
         return ad._make(y + uu * dsk, inputs, bwd)
     rows_at = np.arange(bsz)
-    h_read = states[at, rows_at] if recording else h_at
-    y = (h_read @ cc[rows_at, at, :, None])[..., 0] + uu[rows_at, at] * dsk
+    y = (h_at @ cc[rows_at, at, :, None])[..., 0] + uu[rows_at, at] * dsk
 
     def bwd_at(g):
         g_full = np.zeros_like(uu)
@@ -270,13 +268,8 @@ def mamba_forward(x: Tensor, p: MambaBlockParams, at: np.ndarray | None = None) 
     rank = p.dt_rank
     d_state = p.d_state
 
-    if at is None:
-        xz = ad.matmul(x, p.in_proj)  # [B, L, 2*E*D]
-        u = ad.index(xz, np.s_[..., :d_inner])
-        z = ad.index(xz, np.s_[..., d_inner:])
-    else:
-        u = ad.matmul(x, ad.index(p.in_proj, np.s_[:, :d_inner]))
-        z = ad.matmul(ad.take_along_time(x, at), ad.index(p.in_proj, np.s_[:, d_inner:]))  # [B, E*D]
+    u = ad.matmul(x, ad.index(p.in_proj, np.s_[:, :d_inner]))
+    z = ad.matmul(x if at is None else ad.take_along_time(x, at), ad.index(p.in_proj, np.s_[:, d_inner:]))
 
     u = ad.silu(ad.conv1d_depthwise(u, p.conv_kernel, p.conv_bias))
 

@@ -114,7 +114,7 @@ def encode(
     opts: LayerOptions,
     rng: np.random.Generator | None = None,
 ) -> Tensor:
-    """Embed a batch and run the encoder stack; returns its last column, [B, 1, D].
+    """Embed a batch and run the encoder stack; returns its last column, [B, D].
 
     Scoring reads only that column, so the last layer computes nothing else.
     """
@@ -132,8 +132,7 @@ def score(
 
     The padding row is excluded, so it can never be ranked or targeted.
     """
-    h = encode(params, batch, opts, rng=rng)
-    rep = ad.index(h, np.s_[:, -1])  # [B, D]; left-padding puts the newest item last
+    rep = encode(params, batch, opts, rng=rng)  # left-padding puts the newest item last
     table = params.embedding if params.out_embedding is None else params.out_embedding
     items = ad.index(table, np.s_[1:])  # drop padding row
     return ad.matmul(rep, ad.transpose(items))

@@ -290,6 +290,20 @@ def test_config_field_of_the_wrong_type_is_config_error(tmp_path, capsys, field,
     assert f"{field} must be" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "argv, field",
+    [(["train", "--eval-every", "0"], "eval_every"), (["train", "--runs", "0"], "runs"),
+     (["train", "--lr", "-1"], "lr"), (["train", "--lr", "nan"], "lr"), (["train", "--grad-clip", "nan"], "grad_clip"),
+     (["bench", "--batch", "0"], "batch"), (["bench", "--batch", "-2"], "batch"),
+     (["bench", "--reps", "0"], "reps"), (["bench", "--warmup", "-1"], "warmup")],
+)
+def test_count_or_rate_out_of_range_is_config_error(tmp_path, capsys, argv, field):
+    rc = main([*argv, "--out", str(tmp_path / "x")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert f"{field} must be" in err and "Traceback" not in err
+
+
 def test_config_float_fields_take_integers():
     cfg = RunConfig.from_dict({"lr": 1, "dropout": 0, "grad_clip": 5})
     assert (cfg.lr, cfg.dropout, cfg.grad_clip) == (1, 0, 5)
@@ -324,7 +338,7 @@ def test_no_flip_feeds_both_blocks_the_same_tensor(monkeypatch):
     rng = np.random.default_rng(1)
     lp = init_layer_params(rng, 6, d_state=2, d_conv=2, dtype=np.float64)
     seen = []
-    monkeypatch.setattr("mambarec.layers.mamba_forward", lambda x, p: seen.append(x) or x)
+    monkeypatch.setattr("mambarec.layers.mamba_forward", lambda x, p, at=None: seen.append(x) or x)
     opts = LayerOptions(keep_last=2, no_flip=True)
     h = Tensor(rng.normal(size=(2, 5, 6)))
     bidirectional_mamba(h, lp, np.array([5, 3]), opts)

@@ -310,7 +310,7 @@ def test_bidirectional_positional_alignment_with_identity_stub(monkeypatch):
     # cancel exactly: perturbing position t moves the output at position t only
     rng = np.random.default_rng(9)
     lp = _layer(rng)
-    monkeypatch.setattr("mambarec.layers.mamba_forward", lambda x, p: x)
+    monkeypatch.setattr("mambarec.layers.mamba_forward", lambda x, p, at=None: x)
     opts = LayerOptions(keep_last=2, no_gate=True)
     h_np = rng.normal(size=(1, 6, 6))
     lens = np.array([6])
@@ -401,11 +401,11 @@ def test_stack_runtime_grows_about_linearly_in_layer_count():
 def test_dropout_scales_and_masks():
     rng = np.random.default_rng(13)
     x = Tensor(np.ones((200, 10)))
-    out = dropout(x, 0.4, rng)
+    out = dropout(x, 0.4, rng.random(x.shape))
     kept = out.data[out.data != 0]
     np.testing.assert_allclose(kept, 1.0 / 0.6)
     assert 0.45 < (out.data != 0).mean() < 0.75
-    same = dropout(x, 0.0, np.random.default_rng(0))
+    same = dropout(x, 0.0, np.random.default_rng(0).random(x.shape))
     assert same is x
 
 

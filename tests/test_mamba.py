@@ -323,6 +323,20 @@ def test_scan_read_at_one_step_per_row_matches_dense_unrolled_oracle(taped):
     np.testing.assert_allclose(got.data, expected, rtol=1e-12, atol=1e-12)
 
 
+def test_taped_and_untaped_scan_read_at_are_bitwise_equal():
+    # the taped call gathers its read states from the state buffer, the untaped one from its scratch tile
+    bsz, length, d_inner, d_state = _multi_tile_shape()
+    rows, steps = scan_tile(bsz, length, d_inner, d_state, 8)
+    inputs = _scan_inputs(np.random.default_rng(25), bsz, length, d_inner, d_state)
+    at = np.resize([1, 2, steps - 1, steps, length - 1, 0, steps + 1], bsz)
+    chunks = at // steps
+    assert (chunks[:3] == 0).all() and len(set(chunks[:rows])) > 2, "block 0 must read in one tile and in others"
+    untaped = ssm_scan(*inputs, at=at).data
+    with Tape():
+        taped = ssm_scan(*inputs, at=at).data
+    assert np.array_equal(taped, untaped)
+
+
 def test_scan_read_at_gradients_of_all_six_inputs():
     rng = np.random.default_rng(19)
     bsz, length, d_inner, d_state = _multi_tile_shape()

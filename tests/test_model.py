@@ -82,7 +82,7 @@ def test_score_matches_bruteforce_dot_products():
     params = init_model_params(cfg, n_items=6, rng=np.random.default_rng(3))
     batch = _batch([[0, 0, 1, 2, 3, 4], [0, 0, 0, 5, 6, 1]], [2, 3])
     opts = layer_options(cfg)
-    rep = encode(params, batch, opts).data[:, -1, :]
+    rep = encode(params, batch, opts).data
     logits = score(params, batch, opts).data
     for b in range(2):
         for k in range(6):
