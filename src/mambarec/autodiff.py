@@ -153,13 +153,6 @@ class Tape:
                     tensor.grad += g.astype(tensor.dtype, copy=False)
 
 
-def _as_tensor(x, ref: Tensor | None = None) -> Tensor:
-    if isinstance(x, Tensor):
-        return x
-    dtype = ref.dtype if ref is not None else None
-    return Tensor(np.asarray(x, dtype=dtype))
-
-
 def _make(out_data: np.ndarray, inputs: tuple[Tensor, ...], backward_fn) -> Tensor:
     out = Tensor(out_data)
     tape = Tape.active()
@@ -184,9 +177,7 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 # elementwise arithmetic
 
 
-def add(a, b) -> Tensor:
-    a = _as_tensor(a, b if isinstance(b, Tensor) else None)
-    b = _as_tensor(b, a)
+def add(a: Tensor, b: Tensor) -> Tensor:
     try:
         out = a.data + b.data
     except ValueError as err:
@@ -198,9 +189,7 @@ def add(a, b) -> Tensor:
     return _make(out, (a, b), bwd)
 
 
-def mul(a, b) -> Tensor:
-    a = _as_tensor(a, b if isinstance(b, Tensor) else None)
-    b = _as_tensor(b, a)
+def mul(a: Tensor, b: Tensor) -> Tensor:
     try:
         out = a.data * b.data
     except ValueError as err:
@@ -358,9 +347,9 @@ def embedding(table: Tensor, ids: np.ndarray) -> Tensor:
 def conv1d_depthwise(x: Tensor, kernel: Tensor, bias: Tensor) -> Tensor:
     """Causal per-channel 1-d convolution along axis 1 of ``x`` [B, L, D].
 
-    ``kernel`` is [k, D]; tap ``k-1`` multiplies the current position. The
-    input is left-padded with k-1 zeros, so the output never sees the future
-    and has the input's length.
+    ``kernel`` is [k, D]; tap ``k-1`` multiplies the current position. Steps
+    before the start read as zeros, so the output never sees the future and
+    has the input's length.
     """
     if x.ndim != 3:
         raise ShapeError(f"conv1d_depthwise expects [B, L, D], got {x.shape}")
@@ -369,20 +358,20 @@ def conv1d_depthwise(x: Tensor, kernel: Tensor, bias: Tensor) -> Tensor:
         raise ConfigError(f"conv kernel width must be positive, got {k}")
     if d != x.shape[2] or bias.shape != (d,):
         raise ShapeError(f"conv kernel/bias {kernel.shape}/{bias.shape} do not match input {x.shape}")
-    _, length, _ = x.shape
-    xp = np.pad(x.data, ((0, 0), (k - 1, 0), (0, 0)))
+    length = x.shape[1]
+    # tap j reads s = k-1-j steps back; a tap with s >= length reads only zeros
+    taps = [(j, k - 1 - j) for j in range(k) if k - 1 - j < length]
     out = np.zeros_like(x.data)
-    for j in range(k):
-        out += xp[:, j : j + length, :] * kernel.data[j]
+    for j, s in taps:
+        out[:, s:] += x.data[:, : length - s] * kernel.data[j]
     out += bias.data
 
     def bwd(g):
-        gk = np.empty_like(kernel.data)
-        gxp = np.zeros_like(xp)
-        for j in range(k):
-            gk[j] = (xp[:, j : j + length, :] * g).sum(axis=(0, 1))
-            gxp[:, j : j + length, :] += kernel.data[j] * g
-        gx = gxp[:, k - 1 :, :]
+        gk = np.zeros_like(kernel.data)
+        gx = np.zeros_like(x.data)
+        for j, s in taps:
+            gk[j] = (x.data[:, : length - s] * g[:, s:]).sum(axis=(0, 1))
+            gx[:, : length - s] += kernel.data[j] * g[:, s:]
         return gx, gk, g.sum(axis=(0, 1))
 
     return _make(out, (x, kernel, bias), bwd)

@@ -28,7 +28,7 @@ from .data import (
     save_split,
     split_leave_one_out,
 )
-from .errors import ConfigError, ContractError, DataError, MambaRecError, NumericError
+from .errors import ConfigError, DataError, MambaRecError, NumericError
 from .metrics import METRICS
 from .model import load_checkpoint, save_checkpoint
 from .train import evaluate_split, train_model
@@ -287,7 +287,6 @@ _EXIT_CODES = (
     (DataError, 3),
     (OSError, 3),
     (NumericError, 4),
-    (ContractError, 5),
     (MambaRecError, 5),
 )
 

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from dataclasses import dataclass
 
 from .errors import ConfigError
@@ -69,9 +70,11 @@ class RunConfig:
         for name in at_least_one:
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
-        for name in ("flip_keep", "epochs", "min_len", "max_len_cap", "grad_clip", "patience", "lr"):
+        for name in ("flip_keep", "epochs", "min_len", "max_len_cap", "grad_clip", "patience", "lr", "seed"):
             if not getattr(self, name) >= 0:  # NaN fails this too
                 raise ConfigError(f"{name} must be >= 0, got {getattr(self, name)}")
+        if not math.isfinite(self.lr):  # grad_clip may be inf: it then never clips
+            raise ConfigError(f"lr must be finite, got {self.lr}")
         if not 0.0 <= self.dropout < 1.0:
             raise ConfigError(f"dropout must be in [0, 1), got {self.dropout}")
 

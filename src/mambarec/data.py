@@ -26,7 +26,6 @@ __all__ = [
     "Batch",
     "GROUP_NAMES",
     "ingest",
-    "write_tsv",
     "filter_and_bound",
     "split_leave_one_out",
     "group_label",
@@ -221,21 +220,6 @@ def _read_columns(path, reader) -> tuple:
         user.append(user_index.setdefault(row[u_col], len(user_index)))
         item.append(item_index.setdefault(row[i_col], len(item_index)))
     return list(user_index), user, list(item_index), item, timestamp, rating
-
-
-def write_tsv(log: InteractionLog, path) -> None:
-    """Serialize a log back to the ingestion format (round-trip support)."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, delimiter="\t", lineterminator="\n")
-        writer.writerow(["user_id", "item_id", "timestamp", "rating"])
-        writer.writerows(
-            zip(
-                [log.user_ids[u] for u in log.user.tolist()],
-                [log.item_ids[i] for i in log.item.tolist()],
-                log.timestamp.tolist(),
-                log.rating.tolist(),
-            )
-        )
 
 
 # ---------------------------------------------------------------------------

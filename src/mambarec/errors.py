@@ -3,6 +3,8 @@
 The CLI maps each class to a distinct exit code, so keep the set small.
 """
 
+__all__ = ["MambaRecError", "ShapeError", "ConfigError", "DataError", "NumericError", "ContractError"]
+
 
 class MambaRecError(Exception):
     """Base class for everything this package raises deliberately."""

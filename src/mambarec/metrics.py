@@ -13,39 +13,24 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import GROUP_NAMES, SplitDataset
+from .data import GROUP_NAMES
 from .errors import ContractError
 
 __all__ = [
-    "rank_target",
     "rank_targets_batch",
     "hr_at_k",
     "ndcg_at_k",
     "mrr_at_k",
     "EvalReport",
     "grouped_report",
-    "popularity_ranks",
 ]
 
 OVERALL = "Overall"
 METRICS = ("HR", "NDCG", "MRR")
 
 
-def rank_target(logits: np.ndarray, target: int) -> int:
-    """1-based rank of ``target`` in a score vector, index tie-break."""
-    logits = np.asarray(logits)
-    if logits.ndim != 1:
-        raise ContractError(f"rank_target expects a 1-d score vector, got {logits.shape}")
-    if not 0 <= target < logits.shape[0]:
-        raise IndexError(f"target {target} outside [0, {logits.shape[0]})")
-    s = logits[target]
-    greater = int((logits > s).sum())
-    tied_before = int((logits[:target] == s).sum())
-    return 1 + greater + tied_before
-
-
 def rank_targets_batch(logits: np.ndarray, targets: np.ndarray) -> np.ndarray:
-    """Vectorized ``rank_target`` over a [B, K] score matrix."""
+    """Rank of each row's target in a [B, K] score matrix: 1 + items scored higher + ties of lower index."""
     logits = np.asarray(logits)
     targets = np.asarray(targets)
     rows = np.arange(logits.shape[0])
@@ -147,20 +132,6 @@ def grouped_report(ranks, groups, cutoffs=(10,)) -> EvalReport:
         for metric, fn in _METRIC_FNS.items():
             report.values[(metric, cutoff, OVERALL)] = fn(ranks, cutoff)
             for name, mask in members.items():
-                report.values[(metric, cutoff, name)] = fn(ranks[mask], cutoff) if mask.any() else 0.0
+                report.values[(metric, cutoff, name)] = fn(ranks[mask], cutoff)
     return report
 
-
-def popularity_ranks(split: SplitDataset, which: str = "test") -> np.ndarray:
-    """Ranks of held-out items under a train-frequency popularity ordering.
-
-    Scores every item by its occurrence count over the training rows (inputs
-    plus targets); ties break by ascending item index like the model ranking.
-    """
-    counts = np.zeros(split.n_items, dtype=np.float64)
-    for row in split.train:
-        for item in row.inputs:
-            counts[item - 1] += 1
-        counts[row.target - 1] += 1
-    targets = [row.target - 1 for row in split.rows(which)]
-    return rank_targets_batch(np.tile(counts, (len(targets), 1)), np.asarray(targets))

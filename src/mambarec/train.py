@@ -161,8 +161,6 @@ def train_model(cfg: RunConfig, split: SplitDataset, params: ModelParams | None 
             tape.backward(loss)
             if params.embedding.grad is not None:
                 params.embedding.grad[0, :] = 0.0  # padding row stays frozen
-            if params.out_embedding is not None and params.out_embedding.grad is not None:
-                params.out_embedding.grad[0, :] = 0.0
             opt.step()
             losses.append(float(loss.data))
         row: dict = {"epoch": epoch, "train_loss": sum(losses) / max(len(losses), 1)}

@@ -3,7 +3,9 @@
 This is the straightforward loop form of ``mambarec.data``'s ingest, core
 filter and leave-one-out split. The columnar pipeline must produce the same
 ``SplitDataset`` as these functions on every log. ``log_of`` and
-``sequences_of`` convert between the two representations.
+``sequences_of`` convert between the two representations, and ``write_tsv``
+serializes a log back to the ingestion format. ``rank_target`` is the scalar
+ranking oracle, and ``popularity_ranks`` the train-frequency baseline.
 """
 
 from __future__ import annotations
@@ -11,8 +13,11 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from mambarec.data import InteractionLog, SplitDataset, SplitRow, group_label
-from mambarec.errors import DataError
+from mambarec.errors import ContractError, DataError
+from mambarec.metrics import rank_targets_batch
 
 
 @dataclass
@@ -52,6 +57,21 @@ def sequences_of(log: InteractionLog) -> list[InteractionSequence]:
     for u, i, t, r in zip(log.user.tolist(), log.item.tolist(), log.timestamp.tolist(), log.rating.tolist()):
         out[u].items.append(Interaction(log.item_ids[i], t, r))
     return out
+
+
+def write_tsv(log: InteractionLog, path) -> None:
+    """Serialize a log back to the ingestion format (round-trip support)."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, delimiter="\t", lineterminator="\n")
+        writer.writerow(["user_id", "item_id", "timestamp", "rating"])
+        writer.writerows(
+            zip(
+                [log.user_ids[u] for u in log.user.tolist()],
+                [log.item_ids[i] for i in log.item.tolist()],
+                log.timestamp.tolist(),
+                log.rating.tolist(),
+            )
+        )
 
 
 def ingest(path) -> list[InteractionSequence]:
@@ -155,3 +175,30 @@ def split_leave_one_out(sequences: list[InteractionSequence], max_len: int) -> S
             train.append(SplitRow(u, ids[max(0, n - 3 - max_len) : n - 3], ids[n - 3]))
     return SplitDataset(user_ids, item_ids, max_len, train, valid, test, groups)
 
+
+def rank_target(logits: np.ndarray, target: int) -> int:
+    """1-based rank of ``target`` in a score vector, index tie-break."""
+    logits = np.asarray(logits)
+    if logits.ndim != 1:
+        raise ContractError(f"rank_target expects a 1-d score vector, got {logits.shape}")
+    if not 0 <= target < logits.shape[0]:
+        raise IndexError(f"target {target} outside [0, {logits.shape[0]})")
+    s = logits[target]
+    greater = int((logits > s).sum())
+    tied_before = int((logits[:target] == s).sum())
+    return 1 + greater + tied_before
+
+
+def popularity_ranks(split: SplitDataset, which: str = "test") -> np.ndarray:
+    """Ranks of held-out items under a train-frequency popularity ordering.
+
+    Scores every item by its occurrence count over the training rows (inputs
+    plus targets); ties break by ascending item index like the model ranking.
+    """
+    counts = np.zeros(split.n_items, dtype=np.float64)
+    for row in split.train:
+        for item in row.inputs:
+            counts[item - 1] += 1
+        counts[row.target - 1] += 1
+    targets = [row.target - 1 for row in split.rows(which)]
+    return rank_targets_batch(np.tile(counts, (len(targets), 1)), np.asarray(targets))

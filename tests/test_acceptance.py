@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 import reference_data
 from helpers import check_grads, rand_tensor
-from reference_data import Interaction, InteractionSequence, log_of, sequences_of
+from reference_data import Interaction, InteractionSequence, log_of, popularity_ranks, sequences_of, write_tsv
 from test_mamba import stepwise_block_oracle, unrolled_scan_oracle
 
 import mambarec.autodiff as ad
@@ -27,11 +27,10 @@ from mambarec.data import (
     load_split,
     save_split,
     split_leave_one_out,
-    write_tsv,
 )
 from mambarec.layers import flip_index
 from mambarec.mamba import init_mamba_params, mamba_forward
-from mambarec.metrics import grouped_report, popularity_ranks, rank_targets_batch
+from mambarec.metrics import grouped_report, rank_targets_batch
 from mambarec.model import batch_loss, init_model_params, layer_options, named_tensors, score
 from mambarec.train import evaluate_split, train_model
 from perfbench import gen
@@ -72,7 +71,7 @@ def test_criterion_1_gradient_suite():
 
     x = rand_tensor(rng, 2, 3, 4)
     y = rand_tensor(rng, 4)
-    check_grads(lambda: ad.mul(ad.add(x, y), ad.add(x, -0.3)).sum(), [("x", x), ("y", y)], tol=tol)
+    check_grads(lambda: ad.mul(ad.add(x, y), ad.add(x, Tensor(-0.3))).sum(), [("x", x), ("y", y)], tol=tol)
 
     for fn in (ad.sigmoid, ad.silu, ad.gelu, ad.exp, ad.softplus):
         z = rand_tensor(rng, 13)

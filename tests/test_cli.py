@@ -295,7 +295,8 @@ def test_config_field_of_the_wrong_type_is_config_error(tmp_path, capsys, field,
     [(["train", "--eval-every", "0"], "eval_every"), (["train", "--runs", "0"], "runs"),
      (["train", "--lr", "-1"], "lr"), (["train", "--lr", "nan"], "lr"), (["train", "--grad-clip", "nan"], "grad_clip"),
      (["bench", "--batch", "0"], "batch"), (["bench", "--batch", "-2"], "batch"),
-     (["bench", "--reps", "0"], "reps"), (["bench", "--warmup", "-1"], "warmup")],
+     (["bench", "--reps", "0"], "reps"), (["bench", "--warmup", "-1"], "warmup"),
+     (["train", "--seed", "-1"], "seed"), (["bench", "--seed", "-1"], "seed"), (["train", "--lr", "inf"], "lr")],
 )
 def test_count_or_rate_out_of_range_is_config_error(tmp_path, capsys, argv, field):
     rc = main([*argv, "--out", str(tmp_path / "x")])

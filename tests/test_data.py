@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 import reference_data
-from reference_data import Interaction, InteractionSequence, log_of, sequences_of
+from reference_data import Interaction, InteractionSequence, log_of, sequences_of, write_tsv
 
 from mambarec.data import (
     batch_iter,
@@ -15,7 +15,6 @@ from mambarec.data import (
     make_batch,
     save_split,
     split_leave_one_out,
-    write_tsv,
 )
 from mambarec.errors import ContractError, DataError
 from perfbench import gen

@@ -2,18 +2,10 @@
 
 import numpy as np
 import pytest
-from reference_data import Interaction, InteractionSequence, log_of
+from reference_data import Interaction, InteractionSequence, log_of, popularity_ranks, rank_target
 
 from mambarec.data import split_leave_one_out
-from mambarec.metrics import (
-    grouped_report,
-    hr_at_k,
-    mrr_at_k,
-    ndcg_at_k,
-    popularity_ranks,
-    rank_target,
-    rank_targets_batch,
-)
+from mambarec.metrics import grouped_report, hr_at_k, mrr_at_k, ndcg_at_k, rank_targets_batch
 
 
 def sort_rank_oracle(logits, target):

@@ -162,11 +162,14 @@ def test_seed_isolation_dropout_does_not_change_init():
         assert np.array_equal(ta.data, tb.data)
 
 
-def test_padding_row_never_moves():
+@pytest.mark.parametrize("tie_output", [True, False])
+def test_padding_row_never_moves(tie_output):
     split = _cyclic_split()
-    cfg = _cfg(epochs=2)
+    cfg = _cfg(epochs=2, tie_output=tie_output)
     result = train_model(cfg, split)
     np.testing.assert_array_equal(result.params.embedding.data[0], np.zeros(cfg.dim))
+    if not tie_output:
+        np.testing.assert_array_equal(result.params.out_embedding.data[0], np.zeros(cfg.dim))
 
 
 def test_early_stopping_keeps_best_checkpoint():
