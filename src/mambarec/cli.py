@@ -1,9 +1,9 @@
 """Command-line surface: prepare, train, eval, ablate, bench, sweep.
 
-Every command takes an optional JSON config file plus flag overrides, writes
-the fully resolved config next to its outputs, and exits 0 on success or a
-categorized nonzero code (2 config, 3 data or an unreadable file, 4 numeric,
-5 contract, 1 other).
+Each command offers as flags only the ``RunConfig`` fields it reads, plus a JSON
+config file (``eval`` runs its checkpoint's config), writes the resolved config
+next to its outputs, and exits 0 on success or a categorized nonzero code (2 config
+or usage, 3 data or an unreadable file, 4 numeric, 5 contract, 1 other).
 """
 
 from __future__ import annotations
@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
-import json
 import logging
 import sys
 from pathlib import Path
@@ -21,6 +20,7 @@ import numpy as np
 from .bench import doubling_ratios, run_bench
 from .config import RunConfig
 from .data import (
+    SplitDataset,
     dataset_stats,
     filter_and_bound,
     ingest,
@@ -33,26 +33,27 @@ from .metrics import METRICS
 from .model import load_checkpoint, save_checkpoint
 from .train import evaluate_split, train_model
 
-logger = logging.getLogger(__name__)
+# the RunConfig fields the commands read, grouped by what reads them: the model, its switches, and training
+_MODEL_FIELDS = ("dim", "n_layers", "flip_keep", "conv_width", "d_state", "expand", "precision", "seed")
+_SWITCHES = ("no_flip", "no_gate", "no_gru")
+_TRAINING_FIELDS = ("data", "tie_output", "lr", "dropout", "batch_size", "epochs", "eval_every", "patience", "grad_clip")
 
-_OVERRIDE_FIELDS = [f for f in dataclasses.fields(RunConfig)]
 
-
-def _add_config_flags(parser: argparse.ArgumentParser) -> None:
+def _add_config_flags(parser: argparse.ArgumentParser, names) -> None:
     parser.add_argument("--config", help="JSON file with RunConfig fields")
-    for f in _OVERRIDE_FIELDS:
-        flag = "--" + f.name.replace("_", "-")
-        if isinstance(f.default, bool):
-            parser.add_argument(flag, dest=f.name, action=argparse.BooleanOptionalAction, default=None)
+    for name in names:
+        flag, default = "--" + name.replace("_", "-"), getattr(RunConfig, name)
+        if isinstance(default, bool):
+            parser.add_argument(flag, dest=name, action=argparse.BooleanOptionalAction, default=None)
         else:
-            parser.add_argument(flag, dest=f.name, type=type(f.default), default=None)
+            parser.add_argument(flag, dest=name, type=type(default), default=None)
 
 
 def _resolve_config(args: argparse.Namespace) -> RunConfig:
     cfg = RunConfig.from_file(args.config) if args.config else RunConfig()
     overrides = {
         f.name: getattr(args, f.name)
-        for f in _OVERRIDE_FIELDS
+        for f in dataclasses.fields(RunConfig)
         if getattr(args, f.name, None) is not None
     }
     return cfg.replace(**overrides)
@@ -64,14 +65,19 @@ def _out_dir(args: argparse.Namespace) -> Path:
     return out
 
 
-def _echo_config(cfg: RunConfig, out: Path) -> None:
-    cfg.dump(out / "config.json")
-
-
-def _load_split_arg(cfg: RunConfig):
+def _load_split_arg(cfg: RunConfig) -> tuple[RunConfig, SplitDataset]:
+    """The split ``cfg.data`` names, and ``cfg`` at that split's width."""
     if not cfg.data:
         raise ConfigError("no dataset given; pass --data or set it in the config file")
-    return load_split(cfg.data)
+    split = load_split(cfg.data)
+    return cfg.replace(max_len=split.max_len), split
+
+
+def _comma_list(flag: str, text: str, cast) -> list:
+    try:
+        return [cast(x) for x in text.split(",") if x.strip()]
+    except ValueError as err:
+        raise ConfigError(f"bad {flag} list {text!r}") from err
 
 
 # ---------------------------------------------------------------------------
@@ -89,7 +95,7 @@ def cmd_prepare(args: argparse.Namespace) -> int:
     stats = dataset_stats(log)
     split = split_leave_one_out(log, cfg.max_len)
     save_split(split, out / "split.json")
-    _echo_config(cfg, out)
+    cfg.dump(out / "config.json")
     print(f"{'':<12}{'# Users':>12}{'# Items':>12}{'Sparsity':>10}{'Avg.length':>12}")
     print(
         f"{'filtered':<12}{stats['users']:>12,}{stats['items']:>12,}"
@@ -112,8 +118,8 @@ def _report_to_files(report, out: Path, stem: str) -> None:
 def cmd_train(args: argparse.Namespace) -> int:
     cfg = _resolve_config(args)
     out = _out_dir(args)
-    split = _load_split_arg(cfg)
-    _echo_config(cfg, out)
+    cfg, split = _load_split_arg(cfg)
+    cfg.dump(out / "config.json")
     summary_rows = []
     for run_idx in range(cfg.runs):
         run_cfg = cfg.replace(seed=cfg.seed + run_idx)
@@ -135,15 +141,13 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
-    cfg = _resolve_config(args)
     out = _out_dir(args)
-    params, ckpt_cfg_dict = load_checkpoint(args.checkpoint)
-    ckpt_cfg = RunConfig.from_dict(ckpt_cfg_dict)
-    if cfg.data:
-        ckpt_cfg = ckpt_cfg.replace(data=cfg.data)
-    split = _load_split_arg(ckpt_cfg)
-    _echo_config(ckpt_cfg, out)
-    report = evaluate_split(params, ckpt_cfg, split, args.split)
+    params, cfg = load_checkpoint(args.checkpoint)
+    if args.data:
+        cfg = cfg.replace(data=args.data)
+    cfg, split = _load_split_arg(cfg)
+    cfg.dump(out / "config.json")
+    report = evaluate_split(params, cfg, split, args.split)
     _report_to_files(report, out, f"{args.split}_metrics")
     print(f"{args.split}: {report.summary()}")
     for row in report.rows():
@@ -151,11 +155,10 @@ def cmd_eval(args: argparse.Namespace) -> int:
     return 0
 
 
-ABLATION_VARIANTS = (
-    ("default", {}),
-    ("no-flip", {"no_flip": True}),
-    ("no-gate", {"no_gate": True}),
-    ("no-gru", {"no_gru": True}),
+# each variant sets every switch, so "default" is the full model whatever the config file holds
+ABLATION_VARIANTS = tuple(
+    (label, {switch: switch == removed for switch in _SWITCHES})
+    for label, removed in (("default", None), ("no-flip", "no_flip"), ("no-gate", "no_gate"), ("no-gru", "no_gru"))
 )
 
 
@@ -164,8 +167,8 @@ def _tabulate_variants(cfg: RunConfig, out: Path, column: str, variants, title: 
 
     ``title`` is the format string that labels each variant's stdout line.
     """
-    split = _load_split_arg(cfg)
-    _echo_config(cfg, out)
+    cfg, split = _load_split_arg(cfg)
+    cfg.dump(out / "config.json")
     path = out / csv_name
     rows = []
     for value, overrides in variants:
@@ -190,11 +193,8 @@ def cmd_ablate(args: argparse.Namespace) -> int:
 def cmd_bench(args: argparse.Namespace) -> int:
     cfg = _resolve_config(args)
     out = _out_dir(args)
-    try:
-        lengths = [int(x) for x in args.lengths.split(",") if x.strip()]
-    except ValueError as err:
-        raise ConfigError(f"bad --lengths value {args.lengths!r}") from err
-    _echo_config(cfg, out)
+    lengths = _comma_list("--lengths", args.lengths, int)
+    cfg.dump(out / "config.json")
     rows = run_bench(cfg, lengths, batch=args.batch, reps=args.reps, warmup=args.warmup)
     with open(out / "bench.csv", "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
@@ -219,11 +219,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     out = _out_dir(args)
     if args.param not in SWEEPABLE:
         raise ConfigError(f"--param must be one of {sorted(SWEEPABLE)}")
-    cast = SWEEPABLE[args.param]
-    try:
-        values = [cast(x) for x in args.values.split(",") if x.strip()]
-    except ValueError as err:
-        raise ConfigError(f"bad --values list {args.values!r}") from err
+    if getattr(args, args.param) is not None:
+        raise ConfigError(f"{args.param} is swept by --param; drop its own flag")
+    values = _comma_list("--values", args.values, SWEEPABLE[args.param])
     if not values:
         raise ConfigError("sweep needs at least one value")
     variants = [(value, {args.param: value}) for value in values]
@@ -234,6 +232,33 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 # entry point
 
 
+# name, function, help, RunConfig fields offered as flags, and the command's own arguments
+_COMMANDS = (
+    ("prepare", cmd_prepare, "ingest a TSV, filter, split, and write the split artifact",
+     ("data", "min_len", "max_len", "max_len_cap"), ()),
+    ("train", cmd_train, "train on a prepared split",
+     (*_TRAINING_FIELDS, *_MODEL_FIELDS, *_SWITCHES, "runs"), ()),
+    ("eval", cmd_eval, "evaluate a checkpoint under its stored config", (), (
+        ("--checkpoint", {"required": True}),
+        ("--split", {"default": "test", "choices": ["train", "valid", "test"]}),
+        ("--data", {"help": "split artifact to score (default: the checkpoint's)"}),
+    )),
+    ("ablate", cmd_ablate, "train the full model and the three component-removal variants",
+     (*_TRAINING_FIELDS, *_MODEL_FIELDS), ()),
+    ("bench", cmd_bench, "forward-pass timing: encoder vs softmax attention", (*_MODEL_FIELDS, *_SWITCHES), (
+        ("--lengths", {"default": "128,256,512", "help": "comma-separated sequence lengths"}),
+        ("--batch", {"type": int, "default": 8}),
+        ("--reps", {"type": int, "default": 5}),
+        ("--warmup", {"type": int, "default": 2}),
+    )),
+    ("sweep", cmd_sweep, "train across a grid of one hyperparameter",
+     (*_TRAINING_FIELDS, *_MODEL_FIELDS, *_SWITCHES), (
+        ("--param", {"required": True, "help": f"one of {sorted(SWEEPABLE)}"}),
+        ("--values", {"required": True, "help": "comma-separated values"}),
+    )),
+)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mambarec",
@@ -241,44 +266,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("-v", "--verbose", action="store_true", help="info-level logging")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("prepare", help="ingest a TSV, filter, split, and write the split artifact")
-    p.add_argument("--out", required=True)
-    _add_config_flags(p)
-    p.set_defaults(fn=cmd_prepare)
-
-    p = sub.add_parser("train", help="train on a prepared split")
-    p.add_argument("--out", required=True)
-    _add_config_flags(p)
-    p.set_defaults(fn=cmd_train)
-
-    p = sub.add_parser("eval", help="evaluate a checkpoint on a split")
-    p.add_argument("--out", required=True)
-    p.add_argument("--checkpoint", required=True)
-    p.add_argument("--split", default="test", choices=["train", "valid", "test"])
-    _add_config_flags(p)
-    p.set_defaults(fn=cmd_eval)
-
-    p = sub.add_parser("ablate", help="train the default and the three component-removal variants")
-    p.add_argument("--out", required=True)
-    _add_config_flags(p)
-    p.set_defaults(fn=cmd_ablate)
-
-    p = sub.add_parser("bench", help="forward-pass timing: encoder vs softmax attention")
-    p.add_argument("--out", required=True)
-    p.add_argument("--lengths", default="128,256,512", help="comma-separated sequence lengths")
-    p.add_argument("--batch", type=int, default=8)
-    p.add_argument("--reps", type=int, default=5)
-    p.add_argument("--warmup", type=int, default=2)
-    _add_config_flags(p)
-    p.set_defaults(fn=cmd_bench)
-
-    p = sub.add_parser("sweep", help="train across a grid of one hyperparameter")
-    p.add_argument("--out", required=True)
-    p.add_argument("--param", required=True, help=f"one of {sorted(SWEEPABLE)}")
-    p.add_argument("--values", required=True, help="comma-separated values")
-    _add_config_flags(p)
-    p.set_defaults(fn=cmd_sweep)
+    for name, fn, help_text, fields, own_args in _COMMANDS:
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("--out", required=True)
+        for flag, kwargs in own_args:
+            p.add_argument(flag, **kwargs)
+        if fields:
+            _add_config_flags(p, fields)
+        p.set_defaults(fn=fn)
     return parser
 
 

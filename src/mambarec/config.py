@@ -79,11 +79,14 @@ class RunConfig:
             raise ConfigError(f"dropout must be in [0, 1), got {self.dropout}")
 
     @classmethod
-    def from_dict(cls, d: dict) -> "RunConfig":
+    def from_dict(cls, d, source: str) -> "RunConfig":
+        """Build a config from a parsed JSON value; ``source`` names where it came from in errors."""
+        if not isinstance(d, dict):
+            raise ConfigError(f"{source} must hold a JSON object, got {d!r}")
         known = {f.name for f in dataclasses.fields(cls)}
         unknown = set(d) - known
         if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+            raise ConfigError(f"{source} has unknown config keys: {sorted(unknown)}")
         return cls(**d)
 
     @classmethod
@@ -93,9 +96,7 @@ class RunConfig:
                 payload = json.load(fh)
             except json.JSONDecodeError as err:
                 raise ConfigError(f"config file {path} is not valid JSON: {err}") from err
-        if not isinstance(payload, dict):
-            raise ConfigError(f"config file {path} must hold a JSON object")
-        return cls.from_dict(payload)
+        return cls.from_dict(payload, f"config file {path}")
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)

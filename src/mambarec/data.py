@@ -386,7 +386,7 @@ def load_split(path) -> SplitDataset:
     if not isinstance(payload, dict) or payload.get("format") != SPLIT_FORMAT:
         raise DataError(f"{path}: not a {SPLIT_FORMAT} artifact")
     for key, kind in (("max_len", int), ("user_ids", list), ("item_ids", list), ("groups", dict), ("splits", dict)):
-        if not isinstance(payload.get(key), kind):
+        if type(payload.get(key)) is not kind:
             raise DataError(f"{path}: split artifact needs {key!r} as a JSON {kind.__name__}")
     if payload["max_len"] < 1:
         raise DataError(f"{path}: max_len must be >= 1, got {payload['max_len']}")

@@ -75,7 +75,6 @@ _METRIC_FNS = {"HR": hr_at_k, "NDCG": ndcg_at_k, "MRR": mrr_at_k}
 class EvalReport:
     """Per-cutoff metric values for the overall population and each group."""
 
-    cutoffs: tuple[int, ...] = (10,)
     values: dict = field(default_factory=dict)  # (metric, cutoff, group) -> float
     counts: dict = field(default_factory=dict)  # group -> n_users
 
@@ -123,7 +122,7 @@ def grouped_report(ranks, groups, cutoffs=(10,)) -> EvalReport:
     groups = list(groups)
     if len(groups) != ranks.shape[0]:
         raise ContractError(f"{len(groups)} group labels for {ranks.shape[0]} ranks")
-    report = EvalReport(cutoffs=tuple(cutoffs))
+    report = EvalReport()
     members = {name: np.array([g == name for g in groups], dtype=bool) for name in GROUP_NAMES}
     report.counts[OVERALL] = int(ranks.shape[0])
     for name, mask in members.items():

@@ -19,6 +19,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
+from .config import RunConfig
 from .errors import ConfigError, ContractError
 from .layers import LayerOptions, LayerParams, encoder_stack, init_layer_params
 
@@ -48,10 +49,6 @@ class ModelParams:
     @property
     def n_items(self) -> int:
         return self.embedding.shape[0] - 1
-
-    @property
-    def dim(self) -> int:
-        return self.embedding.shape[1]
 
 
 def init_model_params(cfg, n_items: int, rng: np.random.Generator) -> ModelParams:
@@ -165,14 +162,14 @@ def save_checkpoint(path, params: ModelParams, config_dict: dict) -> None:
         np.savez(fh, **arrays)
 
 
-def load_checkpoint(path) -> tuple[ModelParams, dict]:
+def load_checkpoint(path) -> tuple[ModelParams, RunConfig]:
     """Rebuild params and the stored config from a checkpoint file.
 
     The file must hold exactly the parameters its config builds, each with the
-    built shape; anything else is a ``ConfigError`` that names the difference.
-    A file that is not an ``.npz`` archive, lacks the format, config or
-    embedding entry, or holds a config that is not JSON, is a ``ConfigError``
-    naming the path; a missing file raises ``OSError``.
+    built dtype and shape; anything else is a ``ConfigError`` that names the
+    difference. A file that is not an ``.npz`` archive of plain arrays, lacks the
+    format, config or a 2-D embedding, or holds a config that is not a JSON
+    object, is a ``ConfigError`` naming the path; a missing file raises ``OSError``.
     """
     try:
         blob = np.load(path, allow_pickle=False)
@@ -181,21 +178,24 @@ def load_checkpoint(path) -> tuple[ModelParams, dict]:
     if not isinstance(blob, np.lib.npyio.NpzFile):
         raise ConfigError(f"cannot read checkpoint {path}: not an .npz archive")
     with blob:
-        absent = [k for k in ("__format__", "__config__", "param:embedding") if k not in blob.files]
-        if absent:
-            raise ConfigError(f"checkpoint {path} has no {', '.join(absent)}")
-        if str(blob["__format__"]) != CHECKPOINT_FORMAT:
-            raise ConfigError(f"unrecognized checkpoint format in {path}")
         try:
-            config_dict = json.loads(str(blob["__config__"]))
-        except json.JSONDecodeError as err:
-            raise ConfigError(f"checkpoint {path} has a __config__ that is not JSON: {err}") from err
-        stored = {k[len("param:") :]: blob[k] for k in blob.files if k.startswith("param:")}
-    from .config import RunConfig  # local import to avoid a cycle
-
-    cfg = RunConfig.from_dict(config_dict)
-    n_items = stored["embedding"].shape[0] - 1
-    params = init_model_params(cfg, n_items, np.random.default_rng(0))
+            arrays = {k: blob[k] for k in blob.files}
+        except (ValueError, EOFError, zipfile.BadZipFile) as err:
+            raise ConfigError(f"cannot read checkpoint {path}: {err}") from err
+    absent = [k for k in ("__format__", "__config__", "param:embedding") if k not in arrays]
+    if absent:
+        raise ConfigError(f"checkpoint {path} has no {', '.join(absent)}")
+    if str(arrays["__format__"]) != CHECKPOINT_FORMAT:
+        raise ConfigError(f"unrecognized checkpoint format in {path}")
+    try:
+        config_dict = json.loads(str(arrays["__config__"]))
+    except json.JSONDecodeError as err:
+        raise ConfigError(f"checkpoint {path} has a __config__ that is not JSON: {err}") from err
+    cfg = RunConfig.from_dict(config_dict, f"the __config__ of checkpoint {path}")
+    stored = {k[len("param:") :]: a for k, a in arrays.items() if k.startswith("param:")}
+    if stored["embedding"].ndim != 2:
+        raise ConfigError(f"checkpoint {path}: embedding must be 2-D, got shape {stored['embedding'].shape}")
+    params = init_model_params(cfg, stored["embedding"].shape[0] - 1, np.random.default_rng(0))
     named = dict(named_tensors(params))
     missing = sorted(named.keys() - stored.keys())
     unexpected = sorted(stored.keys() - named.keys())
@@ -205,7 +205,9 @@ def load_checkpoint(path) -> tuple[ModelParams, dict]:
             f"unexpected parameters {unexpected}"
         )
     for name, t in named.items():
-        if stored[name].shape != t.data.shape:
-            raise ConfigError(f"checkpoint shape mismatch for {name}")
-        t.data = stored[name].copy()
-    return params, config_dict
+        found = stored[name]
+        if (found.dtype, found.shape) != (t.data.dtype, t.data.shape):
+            built = f"{t.data.dtype} {t.data.shape}"
+            raise ConfigError(f"checkpoint {path}: {name} is {found.dtype} {found.shape}, but its config builds {built}")
+        t.data = found.copy()
+    return params, cfg

@@ -1,21 +1,28 @@
 """Command surface: prepare/train/eval/ablate/bench/sweep plus ablation wiring."""
 
+import argparse
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from reference_data import Interaction, InteractionSequence, log_of
 
+from mambarec import cli
 from mambarec.autodiff import Tape, Tensor
-from mambarec.cli import main
+from mambarec.cli import build_parser, main
 from mambarec.config import RunConfig
-from mambarec.data import make_batch, split_leave_one_out
+from mambarec.data import load_split, make_batch, split_leave_one_out
 from mambarec.layers import LayerOptions, bidirectional_mamba, init_layer_params
 from mambarec.model import (
     CHECKPOINT_FORMAT,
     batch_loss,
     init_model_params,
     layer_options,
+    load_checkpoint,
     named_tensors,
     save_checkpoint,
 )
@@ -34,8 +41,8 @@ def _write_tsv(path, n_users=14, catalog=8, length=7):
 
 def _tiny_args():
     return [
-        "--dim", "8", "--d-state", "2", "--conv-width", "2", "--max-len", "7",
-        "--epochs", "1", "--batch-size", "8", "--dropout", "0.0", "--min-len", "1",
+        "--dim", "8", "--d-state", "2", "--conv-width", "2",
+        "--epochs", "1", "--batch-size", "8", "--dropout", "0.0",
     ]
 
 
@@ -135,14 +142,28 @@ def _write_unreadable_checkpoint(path, case):
         np.savez(path, x=np.zeros(1))
     elif case == "no-embedding":
         np.savez(path, __format__=np.array(CHECKPOINT_FORMAT), __config__=np.array(json.dumps(RunConfig().to_dict())))
-    elif case == "config-not-json":
-        arrays = {"__format__": np.array(CHECKPOINT_FORMAT), "__config__": np.array("{not json")}
-        np.savez(path, **arrays, **{"param:embedding": np.zeros((3, 8), np.float32)})
+    elif case in ("config-not-json", "config-null", "config-five", "object-array", "embedding-0d"):
+        config = {"config-not-json": "{not json", "config-null": "null", "config-five": "5"}
+        embedding = {"object-array": np.array([None, 1], dtype=object), "embedding-0d": np.zeros((), np.float32)}
+        arrays = {
+            "__format__": np.array(CHECKPOINT_FORMAT),
+            "__config__": np.array(config.get(case, json.dumps(RunConfig().to_dict()))),
+            "param:embedding": embedding.get(case, np.zeros((3, 8), np.float32)),
+        }
+        np.savez(path, **arrays)
+    elif case in ("int64-params", "float64-params"):
+        cfg = RunConfig(dim=8, d_state=2, conv_width=2)
+        params = init_model_params(cfg, 8, np.random.default_rng(0))
+        for _, t in named_tensors(params):
+            t.data = t.data.astype(case.split("-")[0])
+        save_checkpoint(path, params, cfg.to_dict())
 
 
 @pytest.mark.parametrize(
     "case, code",
-    [("missing", 3), ("text", 2), ("single-array", 2), ("no-format", 2), ("no-embedding", 2), ("config-not-json", 2)],
+    [("missing", 3), ("text", 2), ("single-array", 2), ("no-format", 2), ("no-embedding", 2), ("config-not-json", 2),
+     ("config-null", 2), ("config-five", 2), ("object-array", 2), ("embedding-0d", 2), ("int64-params", 2),
+     ("float64-params", 2)],
 )
 def test_eval_on_an_unreadable_checkpoint_exits_with_a_code(tmp_path, capsys, case, code):
     ckpt = tmp_path / "ckpt.npz"
@@ -205,6 +226,15 @@ def test_sweep_rejects_unknown_param(tmp_path, prepared):
     assert rc == 2
 
 
+@pytest.mark.parametrize("param, flag", [("lr", "--lr"), ("flip_keep", "--flip-keep")])
+def test_sweep_rejects_a_flag_for_the_swept_field(tmp_path, prepared, capsys, param, flag):
+    rc = main(["sweep", "--out", str(tmp_path / "s"), "--data", str(prepared),
+               "--param", param, "--values", "1", flag, "5"])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert f"{param} is swept by --param" in err and "Traceback" not in err
+
+
 def test_bench_runs_and_reports_ratios(tmp_path, capsys):
     rc = main(["bench", "--out", str(tmp_path / "b"), "--lengths", "8,16", "--batch", "2",
                "--dim", "8", "--d-state", "2", "--reps", "1", "--warmup", "0"])
@@ -250,12 +280,14 @@ def _corrupt_split(payload, case):
         del payload["groups"][str(payload["splits"]["test"][0][0])]
     elif case == "max-len-zero":
         payload["max_len"] = 0
+    elif case == "max-len-true":
+        payload["max_len"] = True
 
 
 @pytest.mark.parametrize(
     "case",
     ["input-above-catalog", "input-negative", "target-above-catalog", "target-zero", "string-id",
-     "empty-inputs", "no-splits", "user-without-group", "max-len-zero"],
+     "empty-inputs", "no-splits", "user-without-group", "max-len-zero", "max-len-true"],
 )
 @pytest.mark.parametrize("command", ["train", "eval"])
 def test_malformed_split_is_data_error(tmp_path, capsys, trained, command, case):
@@ -306,7 +338,7 @@ def test_count_or_rate_out_of_range_is_config_error(tmp_path, capsys, argv, fiel
 
 
 def test_config_float_fields_take_integers():
-    cfg = RunConfig.from_dict({"lr": 1, "dropout": 0, "grad_clip": 5})
+    cfg = RunConfig.from_dict({"lr": 1, "dropout": 0, "grad_clip": 5}, "test config")
     assert (cfg.lr, cfg.dropout, cfg.grad_clip) == (1, 0, 5)
 
 
@@ -315,6 +347,89 @@ def test_bad_split_file_is_data_error(tmp_path):
     bad.write_text("{not json", encoding="utf-8")
     rc = main(["train", "--out", str(tmp_path / "x"), "--data", str(bad)])
     assert rc == 3
+
+
+_MODEL_FLAGS = {"--dim", "--n-layers", "--flip-keep", "--conv-width", "--d-state", "--expand", "--precision", "--seed"}
+_SWITCH_FLAGS = {"--no-flip", "--no-gate", "--no-gru"}
+_TRAINING_FLAGS = {
+    "--data", "--tie-output", "--lr", "--dropout", "--batch-size", "--epochs", "--eval-every", "--patience", "--grad-clip",
+}
+
+
+def test_each_command_offers_exactly_the_options_it_reads():
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    offered = {name: {a.option_strings[0] for a in p._actions if a.dest != "help"} for name, p in sub.choices.items()}
+    assert offered == {
+        "prepare": {"--out", "--config", "--data", "--min-len", "--max-len", "--max-len-cap"},
+        "train": {"--out", "--config", *_TRAINING_FLAGS, *_MODEL_FLAGS, *_SWITCH_FLAGS, "--runs"},
+        "eval": {"--out", "--checkpoint", "--split", "--data"},
+        "ablate": {"--out", "--config", *_TRAINING_FLAGS, *_MODEL_FLAGS},
+        "bench": {"--out", "--config", "--lengths", "--batch", "--reps", "--warmup", *_MODEL_FLAGS, *_SWITCH_FLAGS},
+        "sweep": {"--out", "--config", "--param", "--values", *_TRAINING_FLAGS, *_MODEL_FLAGS, *_SWITCH_FLAGS},
+    }
+    assert sum(map(len, offered.values())) == 93
+
+
+@pytest.mark.parametrize(
+    "command, unread",
+    [("prepare", "--lr 1"), ("eval", "--dim 999"), ("eval", "--config c.json"), ("bench", "--batch-size 999"),
+     ("bench", "--data nothing"), ("ablate", "--no-gru"), ("ablate", "--runs 2"), ("sweep", "--runs 2"),
+     ("train", "--max-len 3")],
+)
+def test_a_flag_the_command_does_not_read_is_a_usage_error(tmp_path, capsys, command, unread):
+    required = {"eval": ["--checkpoint", "c.npz"], "sweep": ["--param", "lr", "--values", "0.1"]}
+    with pytest.raises(SystemExit) as exc:
+        main([command, *required.get(command, []), "--out", str(tmp_path / "x"), *unread.split()])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {unread}" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
+def test_an_unread_flag_exits_2_from_the_command_line(tmp_path):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    argv = ["eval", "--out", str(tmp_path / "x"), "--checkpoint", str(tmp_path / "c.npz"), "--lr", "1"]
+    proc = subprocess.run([sys.executable, "-m", "mambarec.cli", *argv], capture_output=True, text=True, env=env,
+                          timeout=120)
+    assert proc.returncode == 2
+    assert "unrecognized arguments: --lr 1" in proc.stderr and "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("command", ["train", "ablate", "sweep", "eval"])
+def test_the_split_sets_the_recorded_width(tmp_path, trained, command):
+    split, ckpt = trained
+    width = load_split(split).max_len
+    if command == "eval":
+        params, cfg = load_checkpoint(ckpt)
+        narrow = tmp_path / "narrow.npz"
+        save_checkpoint(narrow, params, cfg.replace(max_len=width - 4).to_dict())
+        argv = ["eval", "--checkpoint", str(narrow)]
+    else:
+        cfg_file = tmp_path / "cfg.json"
+        RunConfig(max_len=width - 4, data=str(split), dim=8, d_state=2, conv_width=2, epochs=1, batch_size=8,
+                  dropout=0.0).dump(cfg_file)
+        argv = [command, "--config", str(cfg_file)]
+        if command == "sweep":
+            argv += ["--param", "flip_keep", "--values", "0"]
+    out = tmp_path / "out"
+    assert main([*argv, "--out", str(out)]) == 0
+    assert RunConfig.from_file(out / "config.json").max_len == width
+    if command == "train":
+        assert load_checkpoint(out / "checkpoint.npz")[1].max_len == width
+
+
+def test_ablate_variants_set_every_switch_whatever_the_config_file_holds(tmp_path, prepared, monkeypatch):
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(json.dumps({"no_gru": True}), encoding="utf-8")
+    seen = []
+    train_model = cli.train_model
+    monkeypatch.setattr(cli, "train_model", lambda cfg, split: seen.append(cfg) or train_model(cfg, split))
+    rc = main(["ablate", "--out", str(tmp_path / "abl"), "--config", str(cfg_file), "--data", str(prepared),
+               *_tiny_args()])
+    assert rc == 0
+    assert [(c.no_flip, c.no_gate, c.no_gru) for c in seen] == [
+        (False, False, False), (True, False, False), (False, True, False), (False, False, True),
+    ]
 
 
 # ---------------------------------------------------------------------------

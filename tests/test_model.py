@@ -1,6 +1,7 @@
 """Embedding, scoring, loss, and checkpoint round trips."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -249,8 +250,8 @@ def test_checkpoint_roundtrip_bit_exact(tmp_path):
     params = init_model_params(cfg, n_items=7, rng=np.random.default_rng(13))
     path = tmp_path / "ckpt.npz"
     save_checkpoint(path, params, cfg.to_dict())
-    loaded, cfg_dict = load_checkpoint(path)
-    assert cfg_dict == cfg.to_dict()
+    loaded, loaded_cfg = load_checkpoint(path)
+    assert loaded_cfg == cfg
     for (name_a, a), (name_b, b) in zip(named_tensors(params), named_tensors(loaded)):
         assert name_a == name_b
         assert a.data.dtype == b.data.dtype
@@ -275,6 +276,19 @@ def test_checkpoint_with_more_layers_than_its_config_is_rejected(tmp_path):
         load_checkpoint(path)
 
 
+@pytest.mark.parametrize("dtype", ["int64", "float64"])
+def test_checkpoint_whose_parameter_has_another_dtype_is_rejected(tmp_path, dtype):
+    cfg = _cfg(precision="float32")
+    params = init_model_params(cfg, n_items=4, rng=np.random.default_rng(18))
+    name, t = list(named_tensors(params))[-1]
+    t.data = t.data.astype(dtype)
+    path = tmp_path / "ckpt.npz"
+    save_checkpoint(path, params, cfg.to_dict())
+    message = f"{path}: {name} is {dtype} {t.data.shape}, but its config builds float32 {t.data.shape}"
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        load_checkpoint(path)
+
+
 @pytest.mark.parametrize("stored_tied", [False, True], ids=["untied-file", "tied-file"])
 def test_checkpoint_whose_output_table_disagrees_with_tie_output_is_rejected(tmp_path, stored_tied):
     params = init_model_params(_cfg(tie_output=stored_tied), n_items=4, rng=np.random.default_rng(16))
@@ -296,8 +310,8 @@ def test_checkpoint_with_legacy_layout_keys_still_loads(tmp_path):
     arrays["__untied__"] = np.array(1)
     with open(path, "wb") as fh:
         np.savez(fh, **arrays)
-    loaded, cfg_dict = load_checkpoint(path)
-    assert cfg_dict == cfg.to_dict()
+    loaded, loaded_cfg = load_checkpoint(path)
+    assert loaded_cfg == cfg
     for (name_a, a), (name_b, b) in zip(named_tensors(params), named_tensors(loaded), strict=True):
         assert name_a == name_b
         assert np.array_equal(a.data, b.data), name_a
