@@ -165,10 +165,11 @@ ABLATION_VARIANTS = tuple(
 def _tabulate_variants(cfg: RunConfig, out: Path, column: str, variants, title: str, csv_name: str) -> int:
     """Train and test-evaluate ``cfg`` under each ``(value, overrides)`` variant; one CSV row per variant.
 
-    ``title`` is the format string that labels each variant's stdout line.
+    ``title`` is the format string that labels each variant's stdout line. ``config.json`` records the
+    config the first variant ran; each row ran it with that row's own overrides.
     """
     cfg, split = _load_split_arg(cfg)
-    cfg.dump(out / "config.json")
+    cfg.replace(**variants[0][1]).dump(out / "config.json")
     path = out / csv_name
     rows = []
     for value, overrides in variants:

@@ -136,13 +136,14 @@ def ssm_scan(
     Rows are independent, so the scan walks tiles of a few rows by a few steps
     (``scan_tile``). Per tile, A_bar and the drive B_bar * u are formed in bulk,
     the loop only multiplies and adds in place, and the readout is one batched
-    matmul. Only a recorded call keeps the states (one [L, B, E*D, S] buffer);
-    an untaped call reuses one tile of scratch. Either way an ``at`` call
-    copies each row's read state out of its tile and reads them out once at
-    the end. The backward walks the same tiles right to left, recomputes
-    A_bar, carries only the state gradient through the loop, and takes every
-    other gradient from batched matmuls; an ``at`` call first scatters its
-    gradient into a zero [B, L, E*D] array.
+    matmul. Taped and untaped calls run the same forward into one tile of
+    scratch; a recorded call also keeps the state entering each time chunk
+    ([n_chunks, B, E*D, S]). An ``at`` call copies each row's read state out
+    of its tile and reads them out once at the end. The backward walks the
+    same tiles right to left, recomputes A_bar and, from the chunk's entering
+    state, the tile's states, carries only the state gradient through the
+    loop, and takes every other gradient from batched matmuls; an ``at`` call
+    first scatters its gradient into a zero [B, L, E*D] array.
     """
     if u.ndim != 3 or delta.shape != u.shape:
         raise ShapeError(f"ssm_scan: u {u.shape} and delta {delta.shape} must both be [B, L, E*D]")
@@ -161,7 +162,8 @@ def ssm_scan(
     rows, steps = scan_tile(bsz, length, d_inner, d_state, uu.itemsize)
     # time-major views [L, B, ...], so a tile of any of them is x[t0:t1, b0:b1]
     u_tm, d_tm, b_tm, c_tm = (x.swapaxes(0, 1) for x in (uu, dd, bb, cc))
-    states = np.empty((length, bsz, d_inner, d_state), dtype=uu.dtype) if recording else None
+    # bounds[c] is the state entering time chunk c (zero for c = 0); the backward recomputes each tile from it
+    bounds = np.zeros((-(-length // steps), bsz, d_inner, d_state), dtype=uu.dtype) if recording else None
     decay, scratch = (np.empty((steps * rows, d_inner, d_state), dtype=uu.dtype) for _ in range(2))
 
     def tiles(reverse=False):
@@ -179,24 +181,29 @@ def ssm_scan(
                 np.exp(np.multiply(d_tm[t0:t1, b0:b1, :, None], a, out=dec), out=dec)
                 yield t0, t1, b0, b1, dec, scratch[: shape[0] * shape[1]].reshape(shape)
 
-    y = np.empty_like(uu)
-    if at is not None:  # h_at[b] gets row b's state at step at[b]
-        read_at, h_at = at.tolist(), np.empty((bsz, d_inner, d_state), dtype=uu.dtype)
-    first_bad = length
-    for t0, t1, b0, b1, dec, tile in tiles():
-        if t0 == 0:
-            h = np.zeros((b1 - b0, d_inner, d_state), dtype=uu.dtype)
-        hs = states[t0:t1, b0:b1] if recording else tile
+    def recur(t0, t1, b0, b1, dec, h, hs, tmp):
+        """Write into hs the states of the tile's steps, from the state h entering step t0; tmp is overwritten."""
         drive = d_tm[t0:t1, b0:b1, :, None] * u_tm[t0:t1, b0:b1, :, None]
         with np.errstate(over="ignore", invalid="ignore"):
             np.multiply(drive, b_tm[t0:t1, b0:b1, None, :], out=hs)
             for i in range(t1 - t0):
-                hs[i] += np.multiply(dec[i], hs[i - 1] if i else h, out=dec[i])
+                hs[i] += np.multiply(dec[i], hs[i - 1] if i else h, out=tmp[i])
+
+    y = np.empty_like(uu)
+    if at is not None:  # h_at[b] gets row b's state at step at[b]
+        read_at, h_at = at.tolist(), np.empty((bsz, d_inner, d_state), dtype=uu.dtype)
+    first_bad = length
+    for t0, t1, b0, b1, dec, hs in tiles():
+        if t0 == 0:
+            h = np.zeros((b1 - b0, d_inner, d_state), dtype=uu.dtype)
+        recur(t0, t1, b0, b1, dec, h, hs, dec)
         # a non-finite entry stays non-finite at every later step, so the tile's last state shows any
         if not np.isfinite(hs[-1]).all():
             first_bad = min(first_bad, t0 + int(np.argmin(np.isfinite(hs).all(axis=(1, 2, 3)))))
             continue  # later tiles of this row block cannot lower first_bad; the error waits for the other rows
         h = hs[-1].copy()
+        if recording and t1 < length:
+            bounds[t1 // steps, b0:b1] = h
         if at is None:
             y.swapaxes(0, 1)[t0:t1, b0:b1] = (hs @ c_tm[t0:t1, b0:b1, :, None])[..., 0]
         else:
@@ -213,10 +220,13 @@ def ssm_scan(
         gb = np.empty_like(bb)
         gc = np.empty_like(cc)
         g_tm, gu_tm, gdelta_tm, gb_tm, gc_tm = (x.swapaxes(0, 1) for x in (g, gu, gdelta, gb, gc))
+        tile_states = np.empty_like(scratch)
         for t0, t1, b0, b1, dec, gs in tiles(reverse=True):
             if t1 == length:
                 gh = np.zeros((b1 - b0, d_inner, d_state), dtype=uu.dtype)  # A_bar_t1 gh_t1 from the right
-            hs = states[t0:t1, b0:b1]
+            h = bounds[t0 // steps, b0:b1]
+            hs = tile_states[: gs.shape[0] * gs.shape[1]].reshape(gs.shape)
+            recur(t0, t1, b0, b1, dec, h, hs, gs)  # gs is free until the adjoint fills it
             dt = d_tm[t0:t1, b0:b1]
             ut = u_tm[t0:t1, b0:b1]
             gy = g_tm[t0:t1, b0:b1]
@@ -234,8 +244,10 @@ def ssm_scan(
             gd = g_drive * ut
             # d/d(delta_t * A) = A_bar_t gh_t h_{t-1}, reduced per channel; h_{-1} = 0
             lo = 1 if t0 == 0 else 0
-            g_exp = np.multiply(dec[lo:], states[t0 + lo - 1 : t1 - 1, b0:b1], out=dec[lo:])
-            g_exp = g_exp.reshape(-1, d_inner, d_state).swapaxes(0, 1)  # [E*D, steps * rows, S]
+            np.multiply(dec[1:], hs[:-1], out=dec[1:])
+            if t0:
+                np.multiply(dec[0], h, out=dec[0])
+            g_exp = dec[lo:].reshape(-1, d_inner, d_state).swapaxes(0, 1)  # [E*D, steps * rows, S]
             gd[lo:] += (g_exp @ a[:, :, None])[..., 0].T.reshape(gd[lo:].shape)
             ga += (dt[lo:].reshape(-1, d_inner).T[:, None, :] @ g_exp)[:, 0]
             gdelta_tm[t0:t1, b0:b1] = gd

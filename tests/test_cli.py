@@ -432,6 +432,22 @@ def test_ablate_variants_set_every_switch_whatever_the_config_file_holds(tmp_pat
     ]
 
 
+@pytest.mark.parametrize("command", ["ablate", "sweep"])
+def test_ablate_and_sweep_record_the_config_of_their_first_row(tmp_path, prepared, command):
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(json.dumps({"no_gru": True, "flip_keep": 5}), encoding="utf-8")
+    out = tmp_path / "out"
+    argv = [command, "--out", str(out), "--config", str(cfg_file), "--data", str(prepared), *_tiny_args()]
+    if command == "sweep":
+        argv += ["--param", "flip_keep", "--values", "3,7"]
+    assert main(argv) == 0
+    recorded = json.loads((out / "config.json").read_text(encoding="utf-8"))
+    if command == "ablate":  # the "default" row: the full model, whatever the config file switched off
+        assert (recorded["no_flip"], recorded["no_gate"], recorded["no_gru"]) == (False, False, False)
+    else:  # the first swept value; the config file's other fields stay
+        assert (recorded["flip_keep"], recorded["no_gru"]) == (3, True)
+
+
 # ---------------------------------------------------------------------------
 # ablation wiring
 

@@ -1,5 +1,6 @@
 """Selective scan and block behavior against independent oracles."""
 
+import tracemalloc
 from contextlib import nullcontext
 
 import numpy as np
@@ -210,6 +211,40 @@ def test_tiled_scan_reports_the_earliest_blowup_over_all_rows(taped):
     with Tape() if taped else nullcontext():
         with pytest.raises(NumericError, match="step 9$"):
             ssm_scan(*inputs)
+
+
+def test_taped_and_untaped_scan_are_bitwise_equal():
+    # both calls run one forward; only the taped one also keeps the tile boundary states
+    bsz, length, d_inner, d_state = _multi_tile_shape()
+    inputs = _scan_inputs(np.random.default_rng(26), bsz, length, d_inner, d_state)
+    untaped = ssm_scan(*inputs).data
+    with Tape():
+        taped = ssm_scan(*inputs).data
+    assert np.array_equal(taped, untaped)
+
+
+@pytest.mark.parametrize("read_at", [False, True], ids=["full", "at"])
+def test_taped_scan_keeps_no_state_per_step(read_at):
+    # float32 B16 x L64, E*D 128, S 32: 2 row blocks of 8 rows and 16 time chunks of 4 steps
+    bsz, length, d_inner, d_state = 16, 64, 128, 32
+    assert scan_tile(bsz, length, d_inner, d_state, 4) == (8, 4)
+    rng = np.random.default_rng(27)
+    inputs = [Tensor(t.data.astype(np.float32), requires_grad=True)
+              for t in _scan_inputs(rng, bsz, length, d_inner, d_state)]
+    at = rng.integers(0, length, size=bsz) if read_at else None
+    all_states = length * bsz * d_inner * d_state * 4  # one [L, B, E*D, S] float32 buffer
+
+    tracemalloc.start()
+    try:
+        with Tape() as tape:
+            loss = ad.tsum(ssm_scan(*inputs, at=at))
+        forward_peak = tracemalloc.get_traced_memory()[1]
+        tape.backward(loss)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert forward_peak < all_states / 2, f"taped forward peaked at {forward_peak} bytes"
+    assert peak < all_states, f"forward plus backward peaked at {peak} bytes"
 
 
 @pytest.mark.parametrize("bsz, length", [(0, 5), (2, 0)])

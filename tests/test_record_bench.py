@@ -1,0 +1,47 @@
+"""The benchmark-trajectory aggregator, fed hand-written per-run records (no benchmark runs)."""
+
+import pytest
+
+from tools.record_bench import Refused, aggregate
+
+SHA = "a" * 40
+
+
+def _record(workload, seed, rss, loss, failed=0, sha=SHA):
+    return {
+        "workload": workload, "seed": seed, "attempted": 4, "failed": failed,
+        "end_to_end": {"peak_rss_mb": {"value": rss, "unit": "MB"},
+                       "train_loss_final": {"value": loss, "unit": "nats"}},
+        "environment": {"git_sha": sha, "seed": seed, "nproc": 2},
+    }
+
+
+def test_aggregate_gives_median_quartiles_and_n_per_workload_and_metric():
+    runs = [_record("train-short", s, rss, 9.0) for s, rss in enumerate((200.0, 190.0, 196.0, 194.0, 198.0), 1)]
+    runs.append(_record("eval-long", 1, 275.0, 8.5))
+    out = aggregate(runs, SHA)
+    assert set(out) == {"train-short", "eval-long"}
+    assert set(out["train-short"]) == {"peak_rss_mb", "train_loss_final"}
+    rss = out["train-short"]["peak_rss_mb"]
+    assert rss == {"unit": "MB", "median": 196.0, "q1": 194.0, "q3": 198.0, "n": 5,
+                   "values": [200.0, 190.0, 196.0, 194.0, 198.0]}
+    assert out["train-short"]["train_loss_final"]["median"] == 9.0
+    assert out["eval-long"]["peak_rss_mb"] == {"unit": "MB", "median": 275.0, "q1": 275.0, "q3": 275.0, "n": 1,
+                                               "values": [275.0]}
+
+
+def test_quartiles_interpolate_between_runs():
+    runs = [_record("train-long", s, rss, 8.0) for s, rss in enumerate((1.0, 2.0, 3.0, 4.0), 1)]
+    rss = aggregate(runs, SHA)["train-long"]["peak_rss_mb"]
+    assert (rss["q1"], rss["median"], rss["q3"], rss["n"]) == (1.75, 2.5, 3.25, 4)
+
+
+def test_a_run_at_another_commit_is_refused():
+    runs = [_record("train-short", 1, 200.0, 9.0), _record("train-long", 1, 270.0, 8.0, sha="b" * 40)]
+    with pytest.raises(Refused, match="train-long seed 1: recorded at b+, not HEAD a+"):
+        aggregate(runs, SHA)
+
+
+def test_a_run_with_a_failed_gate_is_refused():
+    with pytest.raises(Refused, match="1 of 4 gates failed"):
+        aggregate([_record("eval-long", 3, 275.0, 8.5, failed=1)], SHA)
