@@ -53,12 +53,8 @@ class ConvGruParams:
 
     conv_kernel: Tensor  # [k, D]
     conv_bias: Tensor  # [D]
-    update_w: Tensor  # [2D, D]
-    update_b: Tensor  # [D]
-    reset_w: Tensor  # [2D, D]
-    reset_b: Tensor  # [D]
-    cand_w: Tensor  # [2D, D]
-    cand_b: Tensor  # [D]
+    w: Tensor  # [2D, 3D]: columns update | reset | candidate; state rows over conv rows
+    b: Tensor  # [3D]
 
 
 @dataclass
@@ -125,12 +121,8 @@ def init_layer_params(
         gru=ConvGruParams(
             conv_kernel=w(d_conv, dim),
             conv_bias=zeros(dim),
-            update_w=w(2 * dim, dim),
-            update_b=zeros(dim),
-            reset_w=w(2 * dim, dim),
-            reset_b=zeros(dim),
-            cand_w=w(2 * dim, dim),
-            cand_b=zeros(dim),
+            w=Tensor(np.hstack([w(2 * dim, dim).data for _ in range(3)]), requires_grad=True),  # a draw per gate
+            b=zeros(3 * dim),
         ),
         mix_ssm=scalar(0.5),
         mix_gru=scalar(0.5),
@@ -199,20 +191,18 @@ def conv_gru(h: Tensor, p: ConvGruParams) -> Tensor:
     new state is update * state + (1 - update) * candidate. The conv is one
     tape record and the GRU another.
 
-    Each [2D, D] gate weight stacks the rows that read the state (U) over the
-    rows that read conv_t (W). The W products of every step are one GEMM
-    before the loop; the loop does state @ [U_z | U_r] and (r * state) @ U_c.
-    The backward runs BPTT carrying only the state gradient, then takes every
-    weight and input gradient from [L*B, D] GEMMs.
+    Each gate's [2D, D] column block of ``w`` stacks the rows that read the
+    state (U) over the rows that read conv_t (W). The W products of every
+    step are one GEMM before the loop; the loop does state @ [U_z | U_r] and
+    (r * state) @ U_c. The backward runs BPTT carrying only the state
+    gradient, then takes every weight and input gradient from [L*B, D] GEMMs.
     """
     c = ad.conv1d_depthwise(h, p.conv_kernel, p.conv_bias)
     bsz, length, dim = c.shape
-    inputs = (c, p.update_w, p.update_b, p.reset_w, p.reset_b, p.cand_w, p.cand_b)
-    w = np.concatenate([p.update_w.data, p.reset_w.data, p.cand_w.data], axis=1)  # [2D, 3D]: z | r | candidate
+    w = p.w.data
     u_zr, u_c, w_in = w[:dim, : 2 * dim], w[:dim, 2 * dim :], w[dim:]
     c_tm = np.ascontiguousarray(c.data.swapaxes(0, 1)).reshape(-1, dim)  # [L*B, D], time-major
-    bias = np.concatenate([p.update_b.data, p.reset_b.data, p.cand_b.data])
-    pre = (c_tm @ w_in + bias).reshape(length, bsz, 3 * dim)  # W conv_t + b of every step and gate
+    pre = (c_tm @ w_in + p.b.data).reshape(length, bsz, 3 * dim)  # W conv_t + b of every step and gate
     states = np.zeros((length + 1, bsz, dim), dtype=c.dtype)  # states[t + 1] follows step t
     zr = np.empty((length, bsz, 2 * dim), dtype=c.dtype)
     cand = np.empty((length, bsz, dim), dtype=c.dtype)
@@ -247,12 +237,10 @@ def conv_gru(h: Tensor, p: ConvGruParams) -> Tensor:
         rs = r.reshape(-1, dim) * prev
         g_u = np.concatenate([prev.T @ g_pre[:, : 2 * dim], rs.T @ g_pre[:, 2 * dim :]], axis=1)
         g_w = np.concatenate([g_u, c_tm.T @ g_pre])  # [2D, 3D], laid out like w
-        g_b = g_pre.sum(axis=0)
         g_c = (g_pre @ w_in.T).reshape(length, bsz, dim).swapaxes(0, 1)
-        z_cols, r_cols, c_cols = (slice(i * dim, (i + 1) * dim) for i in range(3))
-        return g_c, g_w[:, z_cols], g_b[z_cols], g_w[:, r_cols], g_b[r_cols], g_w[:, c_cols], g_b[c_cols]
+        return g_c, g_w, g_pre.sum(axis=0)
 
-    return ad._make(states[1:].swapaxes(0, 1), inputs, bwd)
+    return ad._make(states[1:].swapaxes(0, 1), (c, p.w, p.b), bwd)
 
 
 def bidirectional_mamba(

@@ -1,7 +1,7 @@
 """Selective state-space (Mamba-style) sequence block.
 
-One block maps [B, L, D] -> [B, L, D] through: input projection split into a
-state path and a gate path, causal depthwise convolution, SiLU, input-dependent
+One block maps [B, L, D] -> [B, L, D] through: input projections to a state
+path and a gate path, causal depthwise convolution, SiLU, input-dependent
 (dt, B, C) projections, softplus step sizes, exponential-decay discretization
 A_bar = exp(dt * A) with B_bar = dt * B, a left-to-right linear recurrence,
 a skip term, SiLU gating, and an output projection. The recurrence is O(L)
@@ -26,7 +26,8 @@ __all__ = ["MambaBlockParams", "init_mamba_params", "ssm_scan", "mamba_forward",
 class MambaBlockParams:
     """Learnable state of one block; shapes fixed by (dim, d_state, d_conv, expand)."""
 
-    in_proj: Tensor  # [D, 2*E*D] -> state path u and gate path z
+    in_u: Tensor  # [D, E*D] -> state path u
+    in_z: Tensor  # [D, E*D] -> gate path z
     conv_kernel: Tensor  # [d_conv, E*D] depthwise
     conv_bias: Tensor  # [E*D]
     x_proj: Tensor  # [E*D, dt_rank + 2*d_state] -> (dt_low, B, C)
@@ -38,7 +39,7 @@ class MambaBlockParams:
 
     @property
     def d_inner(self) -> int:
-        return self.in_proj.shape[1] // 2
+        return self.in_u.shape[1]
 
     @property
     def d_state(self) -> int:
@@ -80,8 +81,10 @@ def init_mamba_params(
     dt = np.exp(rng.uniform(math.log(1e-3), math.log(0.1), size=d_inner))
     dt_bias = dt + np.log(-np.expm1(-dt))  # inverse softplus
     a_log = np.tile(np.log(np.arange(1, d_state + 1, dtype=np.float64)), (d_inner, 1))
+    in_proj = w(dim, 2 * d_inner).data  # one draw, as Mamba's fused in_proj; u reads its left half, z its right
     return MambaBlockParams(
-        in_proj=w(dim, 2 * d_inner),
+        in_u=Tensor(in_proj[:, :d_inner], requires_grad=True),
+        in_z=Tensor(in_proj[:, d_inner:], requires_grad=True),
         conv_kernel=w(d_conv, d_inner),
         conv_bias=zeros(d_inner),
         x_proj=w(d_inner, rank + 2 * d_state),
@@ -276,12 +279,11 @@ def mamba_forward(x: Tensor, p: MambaBlockParams, at: np.ndarray | None = None) 
     """
     if x.ndim != 3:
         raise ShapeError(f"mamba_forward expects [B, L, D], got {x.shape}")
-    d_inner = p.d_inner
     rank = p.dt_rank
     d_state = p.d_state
 
-    u = ad.matmul(x, ad.index(p.in_proj, np.s_[:, :d_inner]))
-    z = ad.matmul(x if at is None else ad.take_along_time(x, at), ad.index(p.in_proj, np.s_[:, d_inner:]))
+    u = ad.matmul(x, p.in_u)
+    z = ad.matmul(x if at is None else ad.take_along_time(x, at), p.in_z)
 
     u = ad.silu(ad.conv1d_depthwise(u, p.conv_kernel, p.conv_bias))
 

@@ -37,7 +37,7 @@ __all__ = [
     "CHECKPOINT_FORMAT",
 ]
 
-CHECKPOINT_FORMAT = "mambarec-checkpoint-v1"
+CHECKPOINT_FORMAT = "mambarec-checkpoint-v2"
 
 
 @dataclass
@@ -168,8 +168,8 @@ def load_checkpoint(path) -> tuple[ModelParams, RunConfig]:
     The file must hold exactly the parameters its config builds, each with the
     built dtype and shape; anything else is a ``ConfigError`` that names the
     difference. A file that is not an ``.npz`` archive of plain arrays, lacks the
-    format, config or a 2-D embedding, or holds a config that is not a JSON
-    object, is a ``ConfigError`` naming the path; a missing file raises ``OSError``.
+    format, config or a 2-D embedding, holds another format or a config that is
+    not a JSON object, is a ``ConfigError`` naming the path; a missing file raises ``OSError``.
     """
     try:
         blob = np.load(path, allow_pickle=False)
@@ -185,8 +185,9 @@ def load_checkpoint(path) -> tuple[ModelParams, RunConfig]:
     absent = [k for k in ("__format__", "__config__", "param:embedding") if k not in arrays]
     if absent:
         raise ConfigError(f"checkpoint {path} has no {', '.join(absent)}")
-    if str(arrays["__format__"]) != CHECKPOINT_FORMAT:
-        raise ConfigError(f"unrecognized checkpoint format in {path}")
+    found = str(arrays["__format__"])
+    if found != CHECKPOINT_FORMAT:
+        raise ConfigError(f"checkpoint {path} has format {found!r}, but this version reads {CHECKPOINT_FORMAT!r}")
     try:
         config_dict = json.loads(str(arrays["__config__"]))
     except json.JSONDecodeError as err:

@@ -111,15 +111,22 @@ def evaluate_split(
     which: str = "test",
     cutoffs=(10,),
 ) -> EvalReport:
-    """Rank every held-out item over the full catalog and aggregate by group."""
+    """Rank every held-out item over the full catalog and aggregate by group.
+
+    Non-finite scores raise ``NumericError`` naming the split and the first such user.
+    """
     if split.n_items != params.n_items:
         raise DataError(f"split has {split.n_items} items but the model scores {params.n_items}")
     opts = layer_options(cfg)
     ranks: list[np.ndarray] = []
     groups: list[str] = []
     for batch in batch_iter(split, which, cfg.batch_size, shuffle_seed=None):
-        logits = score(params, batch, opts)
-        ranks.append(rank_targets_batch(logits.data, batch.targets - 1))
+        logits = score(params, batch, opts).data
+        bad = ~np.isfinite(logits).all(axis=1)  # a NaN outranks no item, so its target would rank first
+        if bad.any():
+            user = split.user_ids[int(batch.users[np.argmax(bad)]) - 1]
+            raise NumericError(f"non-finite scores in the {which} split, first for user {user}")
+        ranks.append(rank_targets_batch(logits, batch.targets - 1))
         groups.extend(split.groups[int(u)] for u in batch.users)
     all_ranks = np.concatenate(ranks) if ranks else np.zeros(0, dtype=np.int64)
     return grouped_report(all_ranks, groups, cutoffs=cutoffs)
@@ -137,8 +144,9 @@ def _restore(params: ModelParams, snap: list[np.ndarray]) -> None:
 def train_model(cfg: RunConfig, split: SplitDataset, params: ModelParams | None = None) -> TrainResult:
     """Train on the split's training rows, keeping the best-by-valid-NDCG@10 state.
 
-    Stops early after ``cfg.patience`` evaluations without improvement; with 0
-    epochs the freshly initialized parameters come back unchanged.
+    Stops early at the ``cfg.patience + 1``-th evaluation in a row without
+    improvement, as RecBole does; with 0 epochs the freshly initialized
+    parameters come back unchanged.
     """
     rngs = seeded_rngs(cfg.seed)
     if params is None:

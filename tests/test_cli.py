@@ -174,6 +174,51 @@ def test_eval_on_an_unreadable_checkpoint_exits_with_a_code(tmp_path, capsys, ca
     assert str(ckpt) in err and "Traceback" not in err
 
 
+def _v1_arrays(params):
+    """The parameters under their v1 names: three per-gate GRU weights and biases, one in_proj per Mamba block."""
+    named = {name: t.data for name, t in named_tensors(params)}
+    v1 = {}
+    for name, a in named.items():
+        base, _, field = name.rpartition(".")
+        if base.endswith("gru") and field in ("w", "b"):
+            for gate, part in zip(("update", "reset", "cand"), np.split(a, 3, axis=-1)):
+                v1[f"{base}.{gate}_{field}"] = part
+        elif field == "in_u":
+            v1[f"{base}.in_proj"] = np.concatenate([a, named[f"{base}.in_z"]], axis=1)
+        elif field != "in_z":
+            v1[name] = a
+    return v1
+
+
+def test_eval_refuses_a_v1_checkpoint_naming_its_format(tmp_path, capsys):
+    cfg = RunConfig(dim=8, d_state=2, conv_width=2)
+    v1 = _v1_arrays(init_model_params(cfg, 8, np.random.default_rng(0)))
+    assert "layers.0.gru.update_w" in v1 and "layers.0.mamba_fwd.in_proj" in v1
+    ckpt = tmp_path / "v1.npz"
+    np.savez(ckpt, __format__=np.array("mambarec-checkpoint-v1"), __config__=np.array(json.dumps(cfg.to_dict())),
+             **{f"param:{name}": a for name, a in v1.items()})
+    rc = main(["eval", "--out", str(tmp_path / "ev"), "--checkpoint", str(ckpt)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "'mambarec-checkpoint-v1'" in err and str(ckpt) in err and "Traceback" not in err
+
+
+def test_eval_of_a_checkpoint_with_a_nan_parameter_is_numeric_error(tmp_path, prepared, capsys):
+    # a NaN score outranks no item, so unchecked it would report every metric as 1.0
+    run = tmp_path / "run"
+    main(["train", "--out", str(run), "--data", str(prepared), *_tiny_args()])
+    with np.load(run / "checkpoint.npz") as blob:
+        arrays = dict(blob)
+    arrays["param:layers.0.ff_out_b"][0] = np.nan
+    np.savez(tmp_path / "poisoned.npz", **arrays)
+    capsys.readouterr()
+    rc = main(["eval", "--out", str(tmp_path / "ev"), "--checkpoint", str(tmp_path / "poisoned.npz")])
+    err = capsys.readouterr().err
+    assert rc == 4
+    assert "non-finite scores in the test split" in err and "Traceback" not in err
+    assert not (tmp_path / "ev" / "test_metrics.csv").exists()
+
+
 @pytest.mark.parametrize("command, name", [("prepare", "missing.tsv"), ("train", "missing.json")])
 def test_missing_input_file_is_data_error(tmp_path, capsys, command, name):
     rc = main([command, "--out", str(tmp_path / "x"), "--data", str(tmp_path / name)])

@@ -149,11 +149,15 @@ def test_gate_lower_bound_and_monotone_tail():
 # conv-GRU
 
 
+def _fused_gates(draw_w, draw_b):
+    """The GRU's w [2D, 3D] and b [3D] from per-gate draws (weight, then bias) in update, reset, candidate order."""
+    pairs = [(draw_w(), draw_b()) for _ in range(3)]
+    return [Tensor(np.concatenate(part, axis=-1), requires_grad=True) for part in zip(*pairs)]
+
+
 def test_gru_zero_params_is_zero_fixpoint():
     dim = 3
-    p = ConvGruParams(
-        *(Tensor(np.zeros(s)) for s in [(2, dim), (dim,)] + [(2 * dim, dim), (dim,)] * 3)
-    )
+    p = ConvGruParams(*(Tensor(np.zeros(s)) for s in [(2, dim), (dim,), (2 * dim, 3 * dim), (3 * dim,)]))
     h = Tensor(np.random.default_rng(3).normal(size=(2, 5, dim)))
     np.testing.assert_array_equal(conv_gru(h, p).data, np.zeros((2, 5, dim)))
 
@@ -164,20 +168,15 @@ def test_gru_single_step_hand_case():
     kernel = np.zeros((3, dim))
     kernel[-1] = 1.0  # conv reduces to identity on the current position
     p = ConvGruParams(
-        conv_kernel=Tensor(kernel),
-        conv_bias=Tensor(np.zeros(dim)),
-        update_w=Tensor(rng.normal(size=(2 * dim, dim))),
-        update_b=Tensor(rng.normal(size=dim)),
-        reset_w=Tensor(rng.normal(size=(2 * dim, dim))),
-        reset_b=Tensor(rng.normal(size=dim)),
-        cand_w=Tensor(rng.normal(size=(2 * dim, dim))),
-        cand_b=Tensor(rng.normal(size=dim)),
+        Tensor(kernel),
+        Tensor(np.zeros(dim)),
+        *_fused_gates(lambda: rng.normal(size=(2 * dim, dim)), lambda: rng.normal(size=dim)),
     )
     h1 = rng.normal(size=dim)
     out = conv_gru(Tensor(h1.reshape(1, 1, dim)), p)
     joint = np.concatenate([np.zeros(dim), h1])
-    z1 = _sigmoid(joint @ p.update_w.data + p.update_b.data)
-    cand = np.tanh(np.concatenate([np.zeros(dim), h1]) @ p.cand_w.data + p.cand_b.data)
+    z1 = _sigmoid(joint @ p.w.data[:, :dim] + p.b.data[:dim])
+    cand = np.tanh(np.concatenate([np.zeros(dim), h1]) @ p.w.data[:, 2 * dim :] + p.b.data[2 * dim :])
     np.testing.assert_allclose(out.data[0, 0], (1.0 - z1) * cand, atol=1e-12)
 
 
@@ -185,14 +184,9 @@ def test_gru_matches_stepwise_oracle():
     rng = np.random.default_rng(5)
     dim, k, length = 3, 4, 9
     p = ConvGruParams(
-        conv_kernel=Tensor(rng.normal(size=(k, dim))),
-        conv_bias=Tensor(rng.normal(size=dim)),
-        update_w=Tensor(rng.normal(size=(2 * dim, dim))),
-        update_b=Tensor(rng.normal(size=dim)),
-        reset_w=Tensor(rng.normal(size=(2 * dim, dim))),
-        reset_b=Tensor(rng.normal(size=dim)),
-        cand_w=Tensor(rng.normal(size=(2 * dim, dim))),
-        cand_b=Tensor(rng.normal(size=dim)),
+        Tensor(rng.normal(size=(k, dim))),
+        Tensor(rng.normal(size=dim)),
+        *_fused_gates(lambda: rng.normal(size=(2 * dim, dim)), lambda: rng.normal(size=dim)),
     )
     h = rng.normal(size=(2, length, dim))
     padded = np.pad(h, ((0, 0), (k - 1, 0), (0, 0)))
@@ -201,9 +195,9 @@ def test_gru_matches_stepwise_oracle():
     expected = np.zeros_like(h)
     for t in range(length):
         joint = np.concatenate([state, conv[:, t]], axis=-1)
-        z = _sigmoid(joint @ p.update_w.data + p.update_b.data)
-        r = _sigmoid(joint @ p.reset_w.data + p.reset_b.data)
-        cand = np.tanh(np.concatenate([r * state, conv[:, t]], axis=-1) @ p.cand_w.data + p.cand_b.data)
+        z = _sigmoid(joint @ p.w.data[:, :dim] + p.b.data[:dim])
+        r = _sigmoid(joint @ p.w.data[:, dim : 2 * dim] + p.b.data[dim : 2 * dim])
+        cand = np.tanh(np.concatenate([r * state, conv[:, t]], axis=-1) @ p.w.data[:, 2 * dim :] + p.b.data[2 * dim :])
         state = z * state + (1.0 - z) * cand
         expected[:, t] = state
     np.testing.assert_allclose(conv_gru(Tensor(h), p).data, expected, atol=1e-12)
@@ -213,14 +207,9 @@ def test_gru_state_is_bounded_by_one():
     rng = np.random.default_rng(6)
     dim = 4
     p = ConvGruParams(
-        conv_kernel=Tensor(rng.normal(size=(4, dim)) * 3),
-        conv_bias=Tensor(rng.normal(size=dim)),
-        update_w=Tensor(rng.normal(size=(2 * dim, dim)) * 3),
-        update_b=Tensor(rng.normal(size=dim)),
-        reset_w=Tensor(rng.normal(size=(2 * dim, dim)) * 3),
-        reset_b=Tensor(rng.normal(size=dim)),
-        cand_w=Tensor(rng.normal(size=(2 * dim, dim)) * 3),
-        cand_b=Tensor(rng.normal(size=dim)),
+        Tensor(rng.normal(size=(4, dim)) * 3),
+        Tensor(rng.normal(size=dim)),
+        *_fused_gates(lambda: rng.normal(size=(2 * dim, dim)) * 3, lambda: rng.normal(size=dim)),
     )
     h = Tensor(rng.normal(size=(3, 40, dim)) * 5)
     out = conv_gru(h, p)
@@ -231,7 +220,7 @@ def _gru_params(rng, dim, k=3, scale=0.5):
     def w(*shape):
         return rand_tensor(rng, *shape, scale=scale)
 
-    return ConvGruParams(w(k, dim), w(dim), w(2 * dim, dim), w(dim), w(2 * dim, dim), w(dim), w(2 * dim, dim), w(dim))
+    return ConvGruParams(w(k, dim), w(dim), *_fused_gates(lambda: w(2 * dim, dim).data, lambda: w(dim).data))
 
 
 def test_gru_gradients_of_input_and_all_parameters():
@@ -240,7 +229,7 @@ def test_gru_gradients_of_input_and_all_parameters():
     h = rand_tensor(rng, 2, 7, 3)
     w = Tensor(rng.normal(size=h.shape))
     named = [("h", h)] + list(named_tensors(p, "gru"))
-    assert len(named) == 9
+    assert len(named) == 5
     check_grads(lambda: ad.mul(conv_gru(h, p), w).sum(), named, tol=1e-6)
 
 

@@ -49,8 +49,7 @@ def stepwise_block_oracle(x, p):
     a = -np.exp(p.A_log.data)
     out = np.zeros_like(x)
     for t in range(length):
-        xz = x[:, t] @ p.in_proj.data
-        u_raw, z = xz[:, :d_inner], xz[:, d_inner:]
+        u_raw, z = x[:, t] @ p.in_u.data, x[:, t] @ p.in_z.data
         window = np.roll(window, -1, axis=1)
         window[:, -1] = u_raw
         c = (window * p.conv_kernel.data[None]).sum(axis=1) + p.conv_bias.data
@@ -329,7 +328,7 @@ def test_block_gradients():
     p = init_mamba_params(rng, dim=4, d_state=3, d_conv=2, expand=2, dtype=np.float64)
     x = rand_tensor(rng, 2, 5, 4, scale=0.5)
     named = [("x", x)] + [(f, getattr(p, f)) for f in (
-        "in_proj", "conv_kernel", "conv_bias", "x_proj", "dt_proj", "dt_bias", "A_log", "D_skip", "out_proj",
+        "in_u", "in_z", "conv_kernel", "conv_bias", "x_proj", "dt_proj", "dt_bias", "A_log", "D_skip", "out_proj",
     )]
     check_grads(lambda: mamba_forward(x, p).sum(), named, tol=1e-5, max_entries=24)
 
@@ -359,7 +358,7 @@ def test_scan_read_at_one_step_per_row_matches_dense_unrolled_oracle(taped):
 
 
 def test_taped_and_untaped_scan_read_at_are_bitwise_equal():
-    # the taped call gathers its read states from the state buffer, the untaped one from its scratch tile
+    # both calls copy their read states out of the scratch tile, but only the taped one keeps chunk-boundary states
     bsz, length, d_inner, d_state = _multi_tile_shape()
     rows, steps = scan_tile(bsz, length, d_inner, d_state, 8)
     inputs = _scan_inputs(np.random.default_rng(25), bsz, length, d_inner, d_state)
@@ -427,6 +426,6 @@ def test_block_read_at_gradients():
     x = rand_tensor(rng, 3, 5, 4, scale=0.5)
     at = np.array([4, 0, 2])
     named = [("x", x)] + [(f, getattr(p, f)) for f in (
-        "in_proj", "conv_kernel", "conv_bias", "x_proj", "dt_proj", "dt_bias", "A_log", "D_skip", "out_proj",
+        "in_u", "in_z", "conv_kernel", "conv_bias", "x_proj", "dt_proj", "dt_bias", "A_log", "D_skip", "out_proj",
     )]
     check_grads(lambda: mamba_forward(x, p, at).sum(), named, tol=1e-5, max_entries=24)

@@ -8,6 +8,7 @@ from mambarec.autodiff import Tape, Tensor
 from mambarec.config import RunConfig
 from mambarec.data import make_batch, split_leave_one_out
 from mambarec.errors import NumericError
+from mambarec.metrics import OVERALL, EvalReport
 from mambarec.model import batch_loss, init_model_params, layer_options, named_tensors
 from mambarec.train import Adam, evaluate_split, seeded_rngs, train_model
 
@@ -180,6 +181,25 @@ def test_early_stopping_keeps_best_checkpoint():
     if result.best_epoch:
         report = evaluate_split(result.params, cfg, split, "valid")
         assert report.get("NDCG") == pytest.approx(result.best_metric, abs=1e-12)
+
+
+@pytest.mark.parametrize("patience, epochs_run", [(0, 2), (2, 4)])
+def test_early_stopping_stops_at_the_patience_plus_first_stale_evaluation(monkeypatch, patience, epochs_run):
+    # the first evaluation improves on nothing yet; every later one equals it, so is stale
+    report = EvalReport(values={(metric, 10, OVERALL): 0.5 for metric in ("HR", "NDCG", "MRR")})
+    monkeypatch.setattr("mambarec.train.evaluate_split", lambda *args, **kwargs: report)
+    result = train_model(_cfg(epochs=10, patience=patience), _cyclic_split())
+    assert (result.epochs_run, result.best_epoch) == (epochs_run, 1)
+
+
+def test_evaluation_with_non_finite_scores_names_the_split_and_first_user():
+    split = _cyclic_split()
+    cfg = _cfg()
+    params = init_model_params(cfg, split.n_items, seeded_rngs(cfg.seed)["init"])
+    params.layers[0].ff_out_b.data[0] = np.nan  # past the scan, so only the scores go bad
+    first = split.user_ids[split.valid[0].user - 1]
+    with pytest.raises(NumericError, match=f"non-finite scores in the valid split, first for user {first}$"):
+        evaluate_split(params, cfg, split, "valid")
 
 
 def test_history_rows_have_metrics_on_eval_epochs():

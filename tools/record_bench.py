@@ -3,13 +3,14 @@
     python3 tools/record_bench.py --label LABEL --seeds N
 
 Run it from the checkout to measure. For each seed 1..N it runs every workload
-of BENCHMARK.json in turn (``perfbench/run.py --workload W --seed S --seconds 8
---trace 0`` with ``OPENBLAS_NUM_THREADS=1``), so a slow stretch of the machine
-hits every workload alike. It refuses a run whose gates failed or whose
-recorded commit is not HEAD. ``BENCH_<label>.json`` at the checkout's root
-then holds, per workload and end-to-end metric, the median, the quartiles, N
-and the per-seed values, with the environment, the commit and whether the
-working tree was clean.
+of BENCHMARK.json in turn (``perfbench/run.py --workload W --seed S --seconds T
+--trace 0`` with ``OPENBLAS_NUM_THREADS=1``, T being BENCHMARK.json's
+``run_seconds``), so a slow stretch of the machine hits every workload alike.
+It refuses a run whose gates failed or whose recorded commit is not HEAD.
+``BENCH_<label>.json`` at the checkout's root then holds, per workload and
+end-to-end metric, the median, the quartiles, N and the per-seed values, with
+the environment, the run length, the commit and whether the working tree was
+clean.
 """
 
 from __future__ import annotations
@@ -22,8 +23,6 @@ import sys
 from pathlib import Path
 
 import numpy as np
-
-SECONDS = 8
 
 
 class Refused(Exception):
@@ -61,9 +60,9 @@ def _git(root: Path, *args: str) -> str:
     return subprocess.run(["git", *args], cwd=root, check=True, capture_output=True, text=True).stdout.strip()
 
 
-def _run(root: Path, workload: str, seed: int) -> dict:
+def _run(root: Path, workload: str, seed: int, seconds: float) -> dict:
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-           "--seconds", str(SECONDS), "--trace", "0"]
+           "--seconds", str(seconds), "--trace", "0"]
     env = {**os.environ, "OPENBLAS_NUM_THREADS": "1"}
     proc = subprocess.run(cmd, cwd=root, env=env, capture_output=True, text=True)
     if proc.returncode != 0:
@@ -82,12 +81,13 @@ def main(argv=None) -> int:
     root = Path(_git(Path.cwd(), "rev-parse", "--show-toplevel"))
     head = _git(root, "rev-parse", "HEAD")
     clean = _git(root, "status", "--porcelain") == ""
-    workloads = [w["name"] for w in json.loads((root / "BENCHMARK.json").read_text(encoding="utf-8"))["workloads"]]
+    bench = json.loads((root / "BENCHMARK.json").read_text(encoding="utf-8"))
+    workloads, seconds = [w["name"] for w in bench["workloads"]], bench["run_seconds"]
     records = []
     try:
         for seed in range(1, args.seeds + 1):
             for workload in workloads:
-                records.append(_run(root, workload, seed))
+                records.append(_run(root, workload, seed, seconds))
                 e2e = ", ".join(f"{k}={v['value']:.4g}" for k, v in records[-1]["end_to_end"].items())
                 print(f"{workload} seed {seed}: {e2e}", flush=True)
         summary = aggregate(records, head)
@@ -96,7 +96,7 @@ def main(argv=None) -> int:
         return 1
     environment = {k: v for k, v in records[0]["environment"].items() if k not in ("seed", "git_sha")}
     path = root / f"BENCH_{args.label}.json"
-    result = {"label": args.label, "git_sha": head, "clean": clean, "seconds": SECONDS,
+    result = {"label": args.label, "git_sha": head, "clean": clean, "seconds": seconds,
               "seeds": list(range(1, args.seeds + 1)), "environment": environment, "workloads": summary}
     path.write_text(json.dumps(result, indent=1) + "\n", encoding="utf-8")
     print(f"wrote {path}")
