@@ -251,7 +251,9 @@ def bidirectional_mamba(
     The flipped branch's output is flipped back before the sum so position t
     carries information about position t from both directions. The gate
     parameters are shared; the gate of the flipped branch reads the flipped
-    input.
+    input. Both blocks get ``lengths``, since the flip keeps the padding in
+    front: their scans start at each row's first real item and read out zero
+    over the padding.
 
     With ``read_last`` only the last column is computed, as [B, D]. The
     flipped block is read at the column the flip-back maps there, and each
@@ -267,17 +269,17 @@ def bidirectional_mamba(
         window = ad.index(x, np.s_[:, -lp.gate.conv_kernel.shape[0] :])
         return ad.index(dense_conv_gate(window, lp.gate), np.s_[:, -1])
 
-    m_fwd = mamba_forward(h, lp.mamba_fwd, last)
+    m_fwd = mamba_forward(h, lp.mamba_fwd, last, lengths)
     if opts.no_flip:
         h_rev = h
-        m_rev = mamba_forward(h, lp.mamba_rev, last)
+        m_rev = mamba_forward(h, lp.mamba_rev, last, lengths)
     else:
         h_rev = partial_flip(h, lengths, opts.keep_last)
         if last is None:
-            m_rev = partial_flip(mamba_forward(h_rev, lp.mamba_rev), lengths, opts.keep_last)
+            m_rev = partial_flip(mamba_forward(h_rev, lp.mamba_rev, lengths=lengths), lengths, opts.keep_last)
         else:  # read the flipped block where the flip-back takes its last column from
             rev_at = np.array([flip_index(int(n), opts.keep_last, width)[-1] for n in lengths], dtype=np.int64)
-            m_rev = mamba_forward(h_rev, lp.mamba_rev, rev_at)
+            m_rev = mamba_forward(h_rev, lp.mamba_rev, rev_at, lengths)
     if opts.no_gate:
         return ad.add(m_fwd, m_rev)
     gated_fwd = ad.mul(gate(h), m_fwd)

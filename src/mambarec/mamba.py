@@ -125,7 +125,8 @@ def flush_negligible(x: np.ndarray) -> None:
 
 
 def ssm_scan(
-    u: Tensor, delta: Tensor, A: Tensor, B: Tensor, C: Tensor, D_skip: Tensor, at: np.ndarray | None = None
+    u: Tensor, delta: Tensor, A: Tensor, B: Tensor, C: Tensor, D_skip: Tensor, at: np.ndarray | None = None,
+    lengths: np.ndarray | None = None,
 ) -> Tensor:
     """Left-to-right selective scan, recorded as one tape op.
 
@@ -136,9 +137,19 @@ def ssm_scan(
     With ``at`` (one step per row, [B] ints) the readout runs at that step
     only and the output is [B, E*D]: row b holds y_{at[b]}.
 
+    ``lengths`` ([B] ints in [0, L]) marks each row's last ``lengths[b]``
+    steps as real and the steps before them as left padding. Padding acts as
+    zero input: the state stays zero until the row's first real step, the
+    output there is zero, and no gradient reaches any input from it. Without
+    ``lengths`` every step is real.
+
     Rows are independent, so the scan walks tiles of a few rows by a few steps
-    (``scan_tile``). Per tile, A_bar and the drive B_bar * u are formed in bulk,
-    the loop only multiplies and adds in place, and the readout is one batched
+    (``scan_tile``). The rows are taken longest first (a stable sort), so each
+    row block holds rows of similar length, and a block starts at the time
+    chunk holding its longest row's first real step: the chunks before it form
+    no A_bar and run no recurrence, forward or backward. Per tile, the rows'
+    inputs are gathered, A_bar and the drive B_bar * u are formed in bulk, the
+    loop only multiplies and adds in place, and the readout is one batched
     matmul. Taped and untaped calls run the same forward into one tile of
     scratch; a recorded call also keeps the state entering each time chunk
     ([n_chunks, B, E*D, S]). An ``at`` call copies each row's read state out
@@ -158,92 +169,103 @@ def ssm_scan(
         at = np.asarray(at)
         if at.shape != (bsz,) or not np.issubdtype(at.dtype, np.integer) or ((at < 0) | (at >= length)).any():
             raise ShapeError(f"ssm_scan: at must hold one step in [0, {length}) per row, got {at}")
+    lengths = np.full(bsz, length) if lengths is None else np.asarray(lengths)
+    bad = lengths.shape != (bsz,) or not np.issubdtype(lengths.dtype, np.integer)
+    if bad or ((lengths < 0) | (lengths > length)).any():
+        raise ShapeError(f"ssm_scan: lengths must hold one length in [0, {length}] per row, got {lengths}")
+    first = length - lengths  # each row's first real step
+    order = np.argsort(first, kind="stable")  # longest rows first
 
     inputs = (u, delta, A, B, C, D_skip)
     uu, dd, a, bb, cc, dsk = (t.data for t in inputs)
     recording = ad.Tape.active() is not None and any(t.requires_grad for t in inputs)
     rows, steps = scan_tile(bsz, length, d_inner, d_state, uu.itemsize)
-    # time-major views [L, B, ...], so a tile of any of them is x[t0:t1, b0:b1]
+    # time-major views [L, B, ...], so a tile of any of them is x[t0:t1, rows of the block]
     u_tm, d_tm, b_tm, c_tm = (x.swapaxes(0, 1) for x in (uu, dd, bb, cc))
-    # bounds[c] is the state entering time chunk c (zero for c = 0); the backward recomputes each tile from it
+    # bounds[c, i] is the state entering time chunk c of the i-th row in length order (zero at a block's start)
     bounds = np.zeros((-(-length // steps), bsz, d_inner, d_state), dtype=uu.dtype) if recording else None
     decay, scratch = (np.empty((steps * rows, d_inner, d_state), dtype=uu.dtype) for _ in range(2))
 
     def tiles(reverse=False):
-        """Yield (t0, t1, b0, b1, A_bar, scratch) per tile, row block by row block.
+        """Yield (t0, t1, b0, idx, real, dt, ut, bt, ct, A_bar, scratch) per tile, row block by row block.
 
-        A_bar and the scratch tile are [t1-t0, b1-b0, E*D, S] views of the two tile buffers.
+        idx holds the block's batch rows, and real [t1-t0, b1-b0] whether each step is real for each;
+        dt, ut, bt and ct are the gathered inputs, ut zeroed at padding. A_bar and the scratch tile are
+        [t1-t0, b1-b0, E*D, S] views of the two tile buffers.
         """
         for b0 in range(0, bsz, rows):
-            b1 = min(b0 + rows, bsz)
-            starts = range(0, length, steps)
+            idx = order[b0 : b0 + rows]
+            starts = range(first[idx[0]] // steps * steps, length, steps)
             for t0 in reversed(starts) if reverse else starts:
                 t1 = min(t0 + steps, length)
-                shape = (t1 - t0, b1 - b0, d_inner, d_state)
+                real = np.arange(t0, t1)[:, None] >= first[idx]
+                dt, ut, bt, ct = (x[t0:t1, idx] for x in (d_tm, u_tm, b_tm, c_tm))
+                ut[~real] = 0
+                shape = (t1 - t0, idx.size, d_inner, d_state)
                 dec = decay[: shape[0] * shape[1]].reshape(shape)
-                np.exp(np.multiply(d_tm[t0:t1, b0:b1, :, None], a, out=dec), out=dec)
-                yield t0, t1, b0, b1, dec, scratch[: shape[0] * shape[1]].reshape(shape)
+                np.exp(np.multiply(dt[..., None], a, out=dec), out=dec)
+                yield t0, t1, b0, idx, real, dt, ut, bt, ct, dec, scratch[: shape[0] * shape[1]].reshape(shape)
 
-    def recur(t0, t1, b0, b1, dec, h, hs, tmp):
-        """Write into hs the states of the tile's steps, from the state h entering step t0; tmp is overwritten."""
-        drive = d_tm[t0:t1, b0:b1, :, None] * u_tm[t0:t1, b0:b1, :, None]
+    def recur(dt, ut, bt, dec, h, hs, tmp):
+        """Write into hs the tile's states, from the state h entering its first step; tmp is overwritten."""
         with np.errstate(over="ignore", invalid="ignore"):
-            np.multiply(drive, b_tm[t0:t1, b0:b1, None, :], out=hs)
-            for i in range(t1 - t0):
+            np.multiply((dt * ut)[..., None], bt[:, :, None, :], out=hs)
+            for i in range(len(hs)):
                 hs[i] += np.multiply(dec[i], hs[i - 1] if i else h, out=tmp[i])
 
-    y = np.empty_like(uu)
+    y = np.zeros_like(uu)  # steps before every tile of their row block stay zero
+    y_tm = y.swapaxes(0, 1)
     if at is not None:  # h_at[b] gets row b's state at step at[b]
-        read_at, h_at = at.tolist(), np.empty((bsz, d_inner, d_state), dtype=uu.dtype)
+        read_at, h_at = at.tolist(), np.zeros((bsz, d_inner, d_state), dtype=uu.dtype)
     first_bad = length
-    for t0, t1, b0, b1, dec, hs in tiles():
-        if t0 == 0:
-            h = np.zeros((b1 - b0, d_inner, d_state), dtype=uu.dtype)
-        recur(t0, t1, b0, b1, dec, h, hs, dec)
+    for t0, t1, b0, idx, real, dt, ut, bt, ct, dec, hs in tiles():
+        if t0 <= first[idx[0]]:  # the block's first tile
+            h = np.zeros(hs.shape[1:], dtype=uu.dtype)
+        recur(dt, ut, bt, dec, h, hs, dec)
         # a non-finite entry stays non-finite at every later step, so the tile's last state shows any
         if not np.isfinite(hs[-1]).all():
             first_bad = min(first_bad, t0 + int(np.argmin(np.isfinite(hs).all(axis=(1, 2, 3)))))
             continue  # later tiles of this row block cannot lower first_bad; the error waits for the other rows
         h = hs[-1].copy()
         if recording and t1 < length:
-            bounds[t1 // steps, b0:b1] = h
+            bounds[t1 // steps, b0 : b0 + idx.size] = h
         if at is None:
-            y.swapaxes(0, 1)[t0:t1, b0:b1] = (hs @ c_tm[t0:t1, b0:b1, :, None])[..., 0]
+            y_tm[t0:t1, idx] = (hs @ ct[..., None])[..., 0] + ut * dsk
         else:
-            for b in range(b0, b1):
+            for j, b in enumerate(idx.tolist()):
                 if t0 <= read_at[b] < t1:
-                    h_at[b] = hs[read_at[b] - t0, b - b0]
+                    h_at[b] = hs[read_at[b] - t0, j]
     if first_bad < length:
         raise NumericError(f"ssm_scan: non-finite hidden state at step {first_bad}")
 
     def bwd(g):
+        g = np.where((np.arange(length) >= first[:, None])[..., None], g, 0)  # padding passes no gradient
         gu = g * dsk
-        gdelta = np.empty_like(dd)
+        gdelta = np.zeros_like(dd)
         ga = np.zeros_like(a)
-        gb = np.empty_like(bb)
-        gc = np.empty_like(cc)
+        gb = np.zeros_like(bb)
+        gc = np.zeros_like(cc)
         g_tm, gu_tm, gdelta_tm, gb_tm, gc_tm = (x.swapaxes(0, 1) for x in (g, gu, gdelta, gb, gc))
         tile_states = np.empty_like(scratch)
-        for t0, t1, b0, b1, dec, gs in tiles(reverse=True):
+        for t0, t1, b0, idx, real, dt, ut, bt, ct, dec, gs in tiles(reverse=True):
             if t1 == length:
-                gh = np.zeros((b1 - b0, d_inner, d_state), dtype=uu.dtype)  # A_bar_t1 gh_t1 from the right
-            h = bounds[t0 // steps, b0:b1]
+                gh = np.zeros(gs.shape[1:], dtype=uu.dtype)  # A_bar_t1 gh_t1 from the right
+            h = bounds[t0 // steps, b0 : b0 + idx.size]
             hs = tile_states[: gs.shape[0] * gs.shape[1]].reshape(gs.shape)
-            recur(t0, t1, b0, b1, dec, h, hs, gs)  # gs is free until the adjoint fills it
-            dt = d_tm[t0:t1, b0:b1]
-            ut = u_tm[t0:t1, b0:b1]
-            gy = g_tm[t0:t1, b0:b1]
-            np.multiply(gy[..., None], c_tm[t0:t1, b0:b1, None, :], out=gs)
+            recur(dt, ut, bt, dec, h, hs, gs)  # gs is free until the adjoint fills it
+            gy = g_tm[t0:t1, idx]
+            np.multiply(gy[..., None], ct[:, :, None, :], out=gs)
             carry = gh
             for i in range(t1 - t0 - 1, -1, -1):  # gh_t = C_t gy_t + A_bar_{t+1} gh_{t+1}
                 gs[i] += carry
                 carry = np.multiply(gs[i], dec[i], out=dec[i])  # dec now holds A_bar_t gh_t
             np.copyto(gh, carry)
             flush_negligible(gh)  # once per tile: the carry then sinks at most one tile deep
-            gc_tm[t0:t1, b0:b1] = (gy[:, :, None, :] @ hs)[:, :, 0]
-            gb_tm[t0:t1, b0:b1] = ((dt * ut)[:, :, None, :] @ gs)[:, :, 0]
-            g_drive = (gs @ b_tm[t0:t1, b0:b1, :, None])[..., 0]  # d/d(delta_t * u_t)
-            gu_tm[t0:t1, b0:b1] += g_drive * dt
+            gc_tm[t0:t1, idx] = (gy[:, :, None, :] @ hs)[:, :, 0]
+            gb_tm[t0:t1, idx] = ((dt * ut)[:, :, None, :] @ gs)[:, :, 0]
+            g_drive = (gs @ bt[..., None])[..., 0]  # d/d(delta_t * u_t)
+            g_drive[~real] = 0
+            gu_tm[t0:t1, idx] += g_drive * dt
             gd = g_drive * ut
             # d/d(delta_t * A) = A_bar_t gh_t h_{t-1}, reduced per channel; h_{-1} = 0
             lo = 1 if t0 == 0 else 0
@@ -253,13 +275,14 @@ def ssm_scan(
             g_exp = dec[lo:].reshape(-1, d_inner, d_state).swapaxes(0, 1)  # [E*D, steps * rows, S]
             gd[lo:] += (g_exp @ a[:, :, None])[..., 0].T.reshape(gd[lo:].shape)
             ga += (dt[lo:].reshape(-1, d_inner).T[:, None, :] @ g_exp)[:, 0]
-            gdelta_tm[t0:t1, b0:b1] = gd
+            gdelta_tm[t0:t1, idx] = gd
         return gu, gdelta, ga, gb, gc, (g * uu).sum(axis=(0, 1))
 
     if at is None:
-        return ad._make(y + uu * dsk, inputs, bwd)
+        return ad._make(y, inputs, bwd)
     rows_at = np.arange(bsz)
-    y = (h_at @ cc[rows_at, at, :, None])[..., 0] + uu[rows_at, at] * dsk
+    u_at = np.where((at >= first)[:, None], uu[rows_at, at], 0)
+    y = (h_at @ cc[rows_at, at, :, None])[..., 0] + u_at * dsk
 
     def bwd_at(g):
         g_full = np.zeros_like(uu)
@@ -269,13 +292,20 @@ def ssm_scan(
     return ad._make(y, inputs, bwd_at)
 
 
-def mamba_forward(x: Tensor, p: MambaBlockParams, at: np.ndarray | None = None) -> Tensor:
+def mamba_forward(
+    x: Tensor, p: MambaBlockParams, at: np.ndarray | None = None, lengths: np.ndarray | None = None
+) -> Tensor:
     """Full block forward; shape-preserving [B, L, D] -> [B, L, D].
 
     With ``at`` (one step per row, [B] ints) only those steps are read out:
     the output is [B, D], row b holding step at[b] of the full output. The
-    state path still runs over every step; the gate path z, the gating and
-    the output projection run at the read step only.
+    state path still runs over the row's real steps; the gate path z, the
+    gating and the output projection run at the read step only.
+
+    ``lengths`` ([B] ints) goes to ``ssm_scan``: the scan's state starts at
+    zero at each row's first real step, so the conv bias the padding carries
+    never drives it, and the output at padding steps is zero. Without
+    ``lengths`` every step is real.
     """
     if x.ndim != 3:
         raise ShapeError(f"mamba_forward expects [B, L, D], got {x.shape}")
@@ -293,6 +323,6 @@ def mamba_forward(x: Tensor, p: MambaBlockParams, at: np.ndarray | None = None) 
     c_out = ad.index(dbc, np.s_[..., rank + d_state :])
     a = ad.neg(ad.exp(p.A_log))  # strictly negative
 
-    y = ssm_scan(u, dt, a, b_in, c_out, p.D_skip, at=at)
+    y = ssm_scan(u, dt, a, b_in, c_out, p.D_skip, at=at, lengths=lengths)
     y = ad.mul(y, ad.silu(z))
     return ad.matmul(y, p.out_proj)

@@ -515,7 +515,7 @@ def test_no_flip_feeds_both_blocks_the_same_tensor(monkeypatch):
     rng = np.random.default_rng(1)
     lp = init_layer_params(rng, 6, d_state=2, d_conv=2, dtype=np.float64)
     seen = []
-    monkeypatch.setattr("mambarec.layers.mamba_forward", lambda x, p, at=None: seen.append(x) or x)
+    monkeypatch.setattr("mambarec.layers.mamba_forward", lambda x, p, at=None, lengths=None: seen.append(x) or x)
     opts = LayerOptions(keep_last=2, no_flip=True)
     h = Tensor(rng.normal(size=(2, 5, 6)))
     bidirectional_mamba(h, lp, np.array([5, 3]), opts)

@@ -275,9 +275,9 @@ def test_bidirectional_matches_hand_composition():
     got = bidirectional_mamba(h, lp, lens, LayerOptions(keep_last=keep))
     h_rev = partial_flip(h, lens, keep)
     expected = (
-        dense_conv_gate(h, lp.gate).data * mamba_forward(h, lp.mamba_fwd).data
+        dense_conv_gate(h, lp.gate).data * mamba_forward(h, lp.mamba_fwd, lengths=lens).data
         + dense_conv_gate(h_rev, lp.gate).data
-        * partial_flip(mamba_forward(h_rev, lp.mamba_rev), lens, keep).data
+        * partial_flip(mamba_forward(h_rev, lp.mamba_rev, lengths=lens), lens, keep).data
     )
     np.testing.assert_allclose(got.data, expected, atol=1e-12)
 
@@ -290,7 +290,8 @@ def test_bidirectional_flip_identity_endpoint():
     keep_all = LayerOptions(keep_last=99)
     got = bidirectional_mamba(h, lp, lens, keep_all)
     gate = dense_conv_gate(h, lp.gate).data
-    expected = gate * mamba_forward(h, lp.mamba_fwd).data + gate * mamba_forward(h, lp.mamba_rev).data
+    expected = (gate * mamba_forward(h, lp.mamba_fwd, lengths=lens).data
+                + gate * mamba_forward(h, lp.mamba_rev, lengths=lens).data)
     np.testing.assert_allclose(got.data, expected, atol=1e-12)
 
 
@@ -299,7 +300,7 @@ def test_bidirectional_positional_alignment_with_identity_stub(monkeypatch):
     # cancel exactly: perturbing position t moves the output at position t only
     rng = np.random.default_rng(9)
     lp = _layer(rng)
-    monkeypatch.setattr("mambarec.layers.mamba_forward", lambda x, p, at=None: x)
+    monkeypatch.setattr("mambarec.layers.mamba_forward", lambda x, p, at=None, lengths=None: x)
     opts = LayerOptions(keep_last=2, no_gate=True)
     h_np = rng.normal(size=(1, 6, 6))
     lens = np.array([6])

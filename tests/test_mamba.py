@@ -429,3 +429,100 @@ def test_block_read_at_gradients():
         "in_u", "in_z", "conv_kernel", "conv_bias", "x_proj", "dt_proj", "dt_bias", "A_log", "D_skip", "out_proj",
     )]
     check_grads(lambda: mamba_forward(x, p, at).sum(), named, tol=1e-5, max_entries=24)
+
+
+# ---------------------------------------------------------------------------
+# row lengths: left padding acts as zero input
+
+
+def _packed_shape():
+    """Float64 (bsz, length, d_inner, d_state) of three row blocks and five time chunks, with unsorted lengths.
+
+    The lengths hold 0, 1 and L. In length order the second row block (lengths 8 down to 1) starts inside
+    chunk 2, and the third holds the empty row.
+    """
+    d_inner, d_state = 64, 32
+    rows, steps = scan_tile(1 << 30, 1 << 30, d_inner, d_state, np.dtype(np.float64).itemsize)
+    bsz, length = 2 * rows + 1, 4 * steps + 1
+    assert scan_tile(bsz, length, d_inner, d_state, 8) == (rows, steps)
+    lengths = np.resize([5, length, 1, 9, 12, 3, length, 7, 2, 0, 10, 16, 6, 4, 13, 8, 11], bsz)
+    assert sorted(lengths, reverse=True)[rows] < length - 2 * steps, "the second row block must skip whole chunks"
+    return bsz, length, d_inner, d_state, lengths
+
+
+@pytest.mark.parametrize("taped", [False, True], ids=["untaped", "taped"])
+def test_packed_scan_matches_the_oracle_on_zeroed_padding(taped):
+    bsz, length, d_inner, d_state, lengths = _packed_shape()
+    inputs = _scan_inputs(np.random.default_rng(30), bsz, length, d_inner, d_state)
+    u, delta, a, b, c, d = (t.data for t in inputs)
+    with Tape() if taped else nullcontext():
+        got = ssm_scan(*inputs, lengths=lengths).data
+    padding = np.arange(length) < (length - lengths)[:, None]
+    expected = unrolled_scan_oracle(np.where(padding[..., None], 0.0, u), delta, a, b, c, d)
+    np.testing.assert_allclose(got, expected, rtol=1e-12, atol=1e-12)
+    assert padding.any() and (got[padding] == 0).all()
+
+
+@pytest.mark.parametrize("read_at", [False, True], ids=["full", "at"])
+def test_packed_scan_gradients_of_all_six_inputs(read_at):
+    rng = np.random.default_rng(31)
+    bsz, length, d_inner, d_state, lengths = _packed_shape()
+    u, delta, a, b, c, d = inputs = _scan_inputs(rng, bsz, length, d_inner, d_state)
+    at = _read_steps(bsz, length, rng) if read_at else None
+    w = Tensor(rng.normal(size=u.shape if at is None else (bsz, d_inner)))
+    named = list(zip(("u", "delta", "A", "B", "C", "D_skip"), inputs))
+    check_grads(lambda: ad.mul(ssm_scan(u, delta, a, b, c, d, at=at, lengths=lengths), w).sum(), named,
+                tol=1e-6, max_entries=16)
+
+
+@pytest.mark.parametrize("read_at", [False, True], ids=["full", "at"])
+def test_scan_with_full_or_no_lengths_is_bitwise_the_scan_without_them(read_at):
+    bsz, length, d_inner, d_state, _ = _packed_shape()
+    rng = np.random.default_rng(32)
+    inputs = _scan_inputs(rng, bsz, length, d_inner, d_state)
+    at = _read_steps(bsz, length, rng) if read_at else None
+
+    def run(**kw):
+        for t in inputs:
+            t.grad = None
+        with Tape() as tape:
+            y = ssm_scan(*inputs, at=at, **kw)
+            loss = ad.tsum(ad.mul(y, Tensor(np.linspace(-1.0, 1.0, y.data.size).reshape(y.shape))))
+        tape.backward(loss)
+        return [y.data] + [t.grad for t in inputs]
+
+    plain = run()
+    for kw in ({"lengths": None}, {"lengths": np.full(bsz, length)}):
+        assert all(np.array_equal(x, y) for x, y in zip(run(**kw), plain)), kw
+
+
+@pytest.mark.parametrize("lengths", [np.array([3]), np.array([3, 8, 1]), np.array([-1, 3]), np.array([9, 3]),
+                                     np.array([3.0, 8.0])])
+def test_scan_rejects_lengths_of_the_wrong_shape_or_outside_the_rows(lengths):
+    with pytest.raises(ShapeError):
+        ssm_scan(*_scan_inputs(np.random.default_rng(33), length=8), lengths=lengths)
+
+
+def test_padding_never_drives_the_block():
+    # rows as layer 1 sees them: zero left padding, at their own width n, at n + 5 and at max_len
+    rng = np.random.default_rng(34)
+    p = init_mamba_params(rng, dim=8, d_state=6, d_conv=4, dtype=np.float64)
+    p.conv_bias.data[:] = rng.normal(0.0, 0.5, size=p.conv_bias.shape)
+    p.dt_bias.data += rng.normal(0.0, 0.5, size=p.dt_bias.shape)
+    lengths = np.array([7, 3, 1, 7, 5])
+    n, max_len = int(lengths.max()), 50
+    real = rng.normal(size=(lengths.size, n, 8))
+
+    def read(width):
+        x = np.zeros((lengths.size, width, 8))
+        for row, k in enumerate(lengths):
+            x[row, width - k :] = real[row, n - k :]
+        full = mamba_forward(Tensor(x), p, lengths=lengths).data
+        last = mamba_forward(Tensor(x), p, np.full(lengths.size, width - 1), lengths).data
+        return [full[row, width - k :] for row, k in enumerate(lengths)], last
+
+    rows_n, last_n = read(n)
+    for width in (n + 5, max_len):
+        rows_w, last_w = read(width)
+        for got, want in zip(rows_w + [last_w], rows_n + [last_n]):
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
