@@ -144,10 +144,14 @@ def ssm_scan(
     ``lengths`` every step is real.
 
     Rows are independent, so the scan walks tiles of a few rows by a few steps
-    (``scan_tile``). The rows are taken longest first (a stable sort), so each
-    row block holds rows of similar length, and a block starts at the time
-    chunk holding its longest row's first real step: the chunks before it form
-    no A_bar and run no recurrence, forward or backward. Per tile, the rows'
+    (``scan_tile``). The rows are taken longest first (a stable sort), and a
+    tile holds only those rows of its row block that are live in its time
+    chunk, the rows with a real step before the chunk ends. They are a prefix
+    of the block that grows chunk by chunk, so a row's padding in the chunks
+    before the one holding its first real step forms no A_bar and runs no
+    recurrence, forward or backward, and a chunk with no live row runs nothing. The block's state
+    and, in the backward, its state gradient live in one [rows, E*D, S]
+    buffer each, of which a tile uses its live rows. Per tile, the rows'
     inputs are gathered, A_bar and the drive B_bar * u are formed in bulk, the
     loop only multiplies and adds in place, and the readout is one batched
     matmul. Taped and untaped calls run the same forward into one tile of
@@ -189,15 +193,20 @@ def ssm_scan(
     def tiles(reverse=False):
         """Yield (t0, t1, b0, idx, real, dt, ut, bt, ct, A_bar, scratch) per tile, row block by row block.
 
-        idx holds the block's batch rows, and real [t1-t0, b1-b0] whether each step is real for each;
-        dt, ut, bt and ct are the gathered inputs, ut zeroed at padding. A_bar and the scratch tile are
-        [t1-t0, b1-b0, E*D, S] views of the two tile buffers.
+        idx holds the block's batch rows that are live in the tile, those whose first real step comes
+        before t1: a prefix of the block, since rows go in order of first real step. real [t1-t0, n]
+        says whether each step is real for each of these n rows; dt, ut, bt and ct are their gathered
+        inputs, ut zeroed at padding. A_bar and the scratch tile are [t1-t0, n, E*D, S] views of the
+        two tile buffers. A tile with no live rows is not yielded.
         """
         for b0 in range(0, bsz, rows):
-            idx = order[b0 : b0 + rows]
-            starts = range(first[idx[0]] // steps * steps, length, steps)
+            block = order[b0 : b0 + rows]
+            starts = range(first[block[0]] // steps * steps, length, steps)
             for t0 in reversed(starts) if reverse else starts:
                 t1 = min(t0 + steps, length)
+                idx = block[: np.searchsorted(first[block], t1)]  # rows with a real step before t1
+                if not idx.size:
+                    continue
                 real = np.arange(t0, t1)[:, None] >= first[idx]
                 dt, ut, bt, ct = (x[t0:t1, idx] for x in (d_tm, u_tm, b_tm, c_tm))
                 ut[~real] = 0
@@ -218,17 +227,19 @@ def ssm_scan(
     if at is not None:  # h_at[b] gets row b's state at step at[b]
         read_at, h_at = at.tolist(), np.zeros((bsz, d_inner, d_state), dtype=uu.dtype)
     first_bad = length
+    h = np.empty((rows, d_inner, d_state), dtype=uu.dtype)  # the block's state; a row not yet live holds zero
     for t0, t1, b0, idx, real, dt, ut, bt, ct, dec, hs in tiles():
+        n = idx.size
         if t0 <= first[idx[0]]:  # the block's first tile
-            h = np.zeros(hs.shape[1:], dtype=uu.dtype)
-        recur(dt, ut, bt, dec, h, hs, dec)
+            h.fill(0)
+        recur(dt, ut, bt, dec, h[:n], hs, dec)
         # a non-finite entry stays non-finite at every later step, so the tile's last state shows any
         if not np.isfinite(hs[-1]).all():
             first_bad = min(first_bad, t0 + int(np.argmin(np.isfinite(hs).all(axis=(1, 2, 3)))))
             continue  # later tiles of this row block cannot lower first_bad; the error waits for the other rows
-        h = hs[-1].copy()
+        h[:n] = hs[-1]
         if recording and t1 < length:
-            bounds[t1 // steps, b0 : b0 + idx.size] = h
+            bounds[t1 // steps, b0 : b0 + n] = h[:n]
         if at is None:
             y_tm[t0:t1, idx] = (hs @ ct[..., None])[..., 0] + ut * dsk
         else:
@@ -247,10 +258,13 @@ def ssm_scan(
         gc = np.zeros_like(cc)
         g_tm, gu_tm, gdelta_tm, gb_tm, gc_tm = (x.swapaxes(0, 1) for x in (g, gu, gdelta, gb, gc))
         tile_states = np.empty_like(scratch)
+        gh_block = np.empty((rows, d_inner, d_state), dtype=uu.dtype)  # A_bar_t1 gh_t1 from the right, per row
         for t0, t1, b0, idx, real, dt, ut, bt, ct, dec, gs in tiles(reverse=True):
+            n = idx.size
             if t1 == length:
-                gh = np.zeros(gs.shape[1:], dtype=uu.dtype)  # A_bar_t1 gh_t1 from the right
-            h = bounds[t0 // steps, b0 : b0 + idx.size]
+                gh_block.fill(0)
+            gh = gh_block[:n]
+            h = bounds[t0 // steps, b0 : b0 + n]
             hs = tile_states[: gs.shape[0] * gs.shape[1]].reshape(gs.shape)
             recur(dt, ut, bt, dec, h, hs, gs)  # gs is free until the adjoint fills it
             gy = g_tm[t0:t1, idx]

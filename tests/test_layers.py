@@ -371,20 +371,22 @@ def test_stack_runtime_grows_about_linearly_in_layer_count():
     lens = np.full(4, 128)
     opts = LayerOptions(keep_last=5)
 
-    def med(stack):
+    # the two stacks take turns, so a slow stretch of the machine hits both; each keeps its fastest rep
+    stacks = {1: layers[:1], 2: layers}
+    best = {n: np.inf for n in stacks}
+    for stack in stacks.values():
         encoder_stack(x, stack, lens, opts)  # warmup
-        times = []
-        gc.disable()
-        try:
-            for _ in range(5):
+    gc.disable()
+    try:
+        for _ in range(5):
+            for n, stack in stacks.items():
                 t0 = time.perf_counter()
                 encoder_stack(x, stack, lens, opts)
-                times.append(time.perf_counter() - t0)
-        finally:
-            gc.enable()
-        return float(np.median(times))
+                best[n] = min(best[n], time.perf_counter() - t0)
+    finally:
+        gc.enable()
 
-    ratio = med(layers) / med(layers[:1])
+    ratio = best[2] / best[1]
     assert 1.3 < ratio < 3.5, f"2-layer/1-layer time ratio {ratio:.2f} not roughly linear"
 
 

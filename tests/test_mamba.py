@@ -496,6 +496,44 @@ def test_scan_with_full_or_no_lengths_is_bitwise_the_scan_without_them(read_at):
         assert all(np.array_equal(x, y) for x, y in zip(run(**kw), plain)), kw
 
 
+@pytest.mark.parametrize("read_at", [False, True], ids=["full", "at"])
+@pytest.mark.parametrize("taped", [False, True], ids=["untaped", "taped"])
+def test_scan_reads_no_chunk_before_a_row_is_live(taped, read_at):
+    # one float64 row block whose rows are live from chunk 0, from chunk 1, from the last chunk, and never
+    bsz, d_inner, d_state = 4, 64, 32
+    rows, steps = scan_tile(bsz, 1 << 30, d_inner, d_state, 8)
+    length = 4 * steps + 3
+    assert scan_tile(bsz, length, d_inner, d_state, 8) == (rows, steps) and rows == bsz
+    lengths = np.array([length, length - steps - 1, 1, 0])
+    first = length - lengths
+    live_from = np.where(lengths > 0, first // steps * steps, length)  # first step of each row's first live chunk
+    assert live_from.tolist() == [0, steps, 4 * steps, length]
+    rng = np.random.default_rng(35)
+    inputs = _scan_inputs(rng, bsz, length, d_inner, d_state)
+    at = np.append(rng.integers(first[:3], length), length - 1) if read_at else None
+    skipped = np.arange(length) < live_from[:, None]
+    if read_at:
+        skipped[3, at[3]] = False  # the empty row has no real step to read; its zero state reads C there
+    w = Tensor(rng.normal(size=(bsz, length, d_inner) if at is None else (bsz, d_inner)))
+
+    def run(fill):
+        arrays = [t.data.copy() for t in inputs]
+        for x in arrays[1], arrays[3], arrays[4]:  # delta, B and C; D_skip's gradient reads all of u
+            x[skipped] = fill
+        tensors = [Tensor(x, requires_grad=True) for x in arrays]
+        with Tape() if taped else nullcontext() as tape:
+            y = ssm_scan(*tensors, at=at, lengths=lengths)
+            loss = ad.tsum(ad.mul(y, w))
+        if not taped:
+            return [y.data]
+        tape.backward(loss)
+        return [y.data] + [t.grad for t in tensors]
+
+    zero = run(0.0)
+    assert all(np.isfinite(x).all() for x in zero)
+    assert all(np.array_equal(x, z) for x, z in zip(run(np.nan), zero))
+
+
 @pytest.mark.parametrize("lengths", [np.array([3]), np.array([3, 8, 1]), np.array([-1, 3]), np.array([9, 3]),
                                      np.array([3.0, 8.0])])
 def test_scan_rejects_lengths_of_the_wrong_shape_or_outside_the_rows(lengths):

@@ -1,8 +1,10 @@
-"""The benchmark-trajectory aggregator, fed hand-written per-run records (no benchmark runs)."""
+"""The benchmark-trajectory aggregator, fed hand-written per-run records, and the tree naming (no benchmark runs)."""
+
+import subprocess
 
 import pytest
 
-from tools.record_bench import Refused, aggregate
+from tools.record_bench import Refused, aggregate, tree_state
 
 SHA = "a" * 40
 
@@ -45,3 +47,27 @@ def test_a_run_at_another_commit_is_refused():
 def test_a_run_with_a_failed_gate_is_refused():
     with pytest.raises(Refused, match="1 of 4 gates failed"):
         aggregate([_record("eval-long", 3, 275.0, 8.5, failed=1)], SHA)
+
+
+def test_a_dirty_tree_is_named_by_its_content_and_left_as_it_was(tmp_path, monkeypatch):
+    for role in ("AUTHOR", "COMMITTER"):  # git stash create writes a commit
+        monkeypatch.setenv(f"GIT_{role}_NAME", "bench")
+        monkeypatch.setenv(f"GIT_{role}_EMAIL", "bench@example.com")
+
+    def git(*args):
+        return subprocess.run(["git", *args], cwd=tmp_path, check=True, capture_output=True, text=True).stdout.strip()
+
+    git("init", "-q")
+    (tmp_path / "scan.py").write_text("steps = 4\n")
+    git("add", "scan.py")
+    git("commit", "-q", "-m", "parent")
+    head = git("rev-parse", "HEAD")
+    assert tree_state(tmp_path) == {"git_sha": head, "clean": True}
+
+    (tmp_path / "scan.py").write_text("steps = 8\n")
+    status = git("status", "--porcelain")
+    state = tree_state(tmp_path)
+    assert state["git_sha"] == head and state["clean"] is False
+    assert git("show", f"{state['content_sha']}:scan.py") == "steps = 8"
+    assert (tmp_path / "scan.py").read_text() == "steps = 8\n"
+    assert git("status", "--porcelain") == status and git("stash", "list") == ""

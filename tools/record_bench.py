@@ -10,7 +10,10 @@ It refuses a run whose gates failed or whose recorded commit is not HEAD.
 ``BENCH_<label>.json`` at the checkout's root then holds, per workload and
 end-to-end metric, the median, the quartiles, N and the per-seed values, with
 the environment, the run length, the commit and whether the working tree was
-clean.
+clean. A dirty tree is also named by its content: ``content_sha`` is the
+commit that ``git stash create`` makes of its tracked files, index and
+working tree, without touching either (``git diff HEAD <content_sha>``
+shows what was measured on top of HEAD).
 """
 
 from __future__ import annotations
@@ -60,6 +63,15 @@ def _git(root: Path, *args: str) -> str:
     return subprocess.run(["git", *args], cwd=root, check=True, capture_output=True, text=True).stdout.strip()
 
 
+def tree_state(root: Path) -> dict:
+    """HEAD's SHA, whether the working tree is clean and, when it is not, ``content_sha`` naming its content."""
+    head = _git(root, "rev-parse", "HEAD")
+    if _git(root, "status", "--porcelain") == "":
+        return {"git_sha": head, "clean": True}
+    # with only untracked files changed there is nothing to stash: the tracked content is HEAD's
+    return {"git_sha": head, "clean": False, "content_sha": _git(root, "stash", "create") or head}
+
+
 def _run(root: Path, workload: str, seed: int, seconds: float) -> dict:
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", "0"]
@@ -79,8 +91,7 @@ def main(argv=None) -> int:
         parser.error("--seeds must be at least 1")
 
     root = Path(_git(Path.cwd(), "rev-parse", "--show-toplevel"))
-    head = _git(root, "rev-parse", "HEAD")
-    clean = _git(root, "status", "--porcelain") == ""
+    tree = tree_state(root)
     bench = json.loads((root / "BENCHMARK.json").read_text(encoding="utf-8"))
     workloads, seconds = [w["name"] for w in bench["workloads"]], bench["run_seconds"]
     records = []
@@ -90,14 +101,14 @@ def main(argv=None) -> int:
                 records.append(_run(root, workload, seed, seconds))
                 e2e = ", ".join(f"{k}={v['value']:.4g}" for k, v in records[-1]["end_to_end"].items())
                 print(f"{workload} seed {seed}: {e2e}", flush=True)
-        summary = aggregate(records, head)
+        summary = aggregate(records, tree["git_sha"])
     except Refused as exc:
         print(f"record_bench: refused: {exc}", file=sys.stderr)
         return 1
     environment = {k: v for k, v in records[0]["environment"].items() if k not in ("seed", "git_sha")}
     path = root / f"BENCH_{args.label}.json"
-    result = {"label": args.label, "git_sha": head, "clean": clean, "seconds": seconds,
-              "seeds": list(range(1, args.seeds + 1)), "environment": environment, "workloads": summary}
+    result = {"label": args.label, **tree, "seconds": seconds, "seeds": list(range(1, args.seeds + 1)),
+              "environment": environment, "workloads": summary}
     path.write_text(json.dumps(result, indent=1) + "\n", encoding="utf-8")
     print(f"wrote {path}")
     return 0
