@@ -55,12 +55,13 @@ def attention_forward(x: np.ndarray, p: AttentionParams) -> np.ndarray:
 class BenchRow:
     model: str  # "encoder" or "attention"
     length: int
-    median_s: float
+    best_s: float
 
 
-def _median_times(fns, warmup: int, reps: int) -> list[float]:
-    """Median wall time of each of ``fns``, which take turns inside every
-    warm-up and timed rep, so a slow stretch of the machine hits them alike."""
+def _best_times(fns, warmup: int, reps: int) -> list[float]:
+    """Fastest timed rep of each of ``fns``, which take turns inside every
+    warm-up and timed rep, so a slow stretch of the machine hits them alike.
+    Outside load only adds time, so the fastest rep is the one it hit least."""
     for _ in range(warmup):
         for fn in fns:
             fn()
@@ -77,7 +78,7 @@ def _median_times(fns, warmup: int, reps: int) -> list[float]:
         if was_enabled:
             gc.enable()
         gc.collect()
-    return [float(np.median(t)) for t in times]
+    return [min(t) for t in times]
 
 
 def run_bench(
@@ -87,7 +88,7 @@ def run_bench(
     reps: int = 5,
     warmup: int = 2,
 ) -> list[BenchRow]:
-    """Median forward time per length for both models (no tape, inference only)."""
+    """Fastest forward time per length for both models (no tape, inference only)."""
     if not lengths:
         raise ConfigError("bench needs a non-empty list of lengths")
     if any(n < 2 for n in lengths):
@@ -109,13 +110,13 @@ def run_bench(
         lens = np.full(batch, n, dtype=np.int64)
         cases.append(("encoder", n, partial(encoder_stack, Tensor(x), layers, lens, opts)))
         cases.append(("attention", n, partial(attention_forward, x, attn)))
-    medians = _median_times([fn for _, _, fn in cases], warmup, reps)
-    return [BenchRow(model, n, t) for (model, n, _), t in zip(cases, medians)]
+    best = _best_times([fn for _, _, fn in cases], warmup, reps)
+    return [BenchRow(model, n, t) for (model, n, _), t in zip(cases, best)]
 
 
 def doubling_ratios(rows: list[BenchRow], model: str) -> list[tuple[int, int, float]]:
     """(shorter, longer, time ratio) for successive 2x length pairs."""
-    times = {r.length: r.median_s for r in rows if r.model == model}
+    times = {r.length: r.best_s for r in rows if r.model == model}
     out = []
     for n in sorted(times):
         if 2 * n in times:

@@ -199,12 +199,12 @@ def cmd_bench(args: argparse.Namespace) -> int:
     rows = run_bench(cfg, lengths, batch=args.batch, reps=args.reps, warmup=args.warmup)
     with open(out / "bench.csv", "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["model", "length", "median_seconds"])
+        writer.writerow(["model", "length", "best_seconds"])
         for r in rows:
-            writer.writerow([r.model, r.length, f"{r.median_s:.6f}"])
-    print(f"{'model':<10}{'length':>8}{'median_ms':>12}")
+            writer.writerow([r.model, r.length, f"{r.best_s:.6f}"])
+    print(f"{'model':<10}{'length':>8}{'best_ms':>12}")
     for r in rows:
-        print(f"{r.model:<10}{r.length:>8}{r.median_s * 1e3:>12.2f}")
+        print(f"{r.model:<10}{r.length:>8}{r.best_s * 1e3:>12.2f}")
     for model in ("encoder", "attention"):
         for short, long_, ratio in doubling_ratios(rows, model):
             print(f"{model}: time({long_}) / time({short}) = {ratio:.2f}")

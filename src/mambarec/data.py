@@ -167,14 +167,15 @@ class Batch:
 
 
 def ingest(path) -> InteractionLog:
-    """Parse a UTF-8 TSV with header user_id, item_id, timestamp[, rating].
+    """Parse a UTF-8 TSV, with or without a byte-order mark, with header
+    user_id, item_id, timestamp[, rating].
 
     Rows are streamed into typed column buffers, with no object per row.
     Timestamps must fit in int64 and ratings must not be NaN, so that the
     ``(timestamp, rating)`` order is defined.
     """
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             columns = _read_columns(path, csv.reader(fh, delimiter="\t"))
     except UnicodeDecodeError as err:
         raise DataError(f"{path}: not UTF-8 text ({err.reason})") from None

@@ -141,35 +141,29 @@ def init_layer_params(
 # partial flip
 
 
-def flip_index(true_len: int, keep_last: int, width: int) -> np.ndarray:
-    """Source-index map for one left-padded row of ``width`` positions.
+def flip_index(lengths: np.ndarray, keep_last: int, width: int) -> np.ndarray:
+    """Source-index map [B, width] of a batch of left-padded rows.
 
-    The row's real items occupy the last ``true_len`` columns in chronological
-    order. The first ``max(true_len - keep_last, 0)`` of them are reversed; the
-    final ``keep_last`` real items and all padding stay put. The map is an
-    involution.
+    Row b's real items occupy its last ``lengths[b]`` columns in chronological
+    order. The first ``max(lengths[b] - keep_last, 0)`` of them are reversed;
+    the final ``keep_last`` real items and all padding stay put. Each row's
+    map is an involution.
     """
-    if true_len < 0 or true_len > width:
-        raise ShapeError(f"true_len {true_len} outside [0, {width}]")
+    lengths = np.asarray(lengths)
+    bad = lengths.ndim != 1 or not np.issubdtype(lengths.dtype, np.integer)
+    if bad or ((lengths < 0) | (lengths > width)).any():
+        raise ShapeError(f"flip_index: lengths must hold one length in [0, {width}] per row, got {lengths}")
     if keep_last < 0:
         raise ConfigError(f"keep_last must be >= 0, got {keep_last}")
-    idx = np.arange(width)
-    n = max(true_len - keep_last, 0)
-    if n > 1:
-        start = width - true_len
-        seg = slice(start, start + n)
-        idx[seg] = idx[seg][::-1]
-    return idx
+    cols = np.arange(width)
+    start = width - lengths[:, None].astype(np.int64)  # signed, so no unsigned dtype wraps below
+    end = np.maximum(start, width - keep_last)  # each row reverses [start, end)
+    return np.where((cols >= start) & (cols < end), start + end - 1 - cols, cols)
 
 
 def partial_flip(x: Tensor, lengths: np.ndarray, keep_last: int) -> Tensor:
     """Partially flip each row of ``x`` [B, L, D] within its true-length region."""
-    lengths = np.asarray(lengths)
-    if lengths.shape != (x.shape[0],):
-        raise ShapeError(f"lengths shape {lengths.shape} != batch ({x.shape[0]},)")
-    width = x.shape[1]
-    index = np.stack([flip_index(int(n), keep_last, width) for n in lengths])
-    return ad.take_along_time(x, index)
+    return ad.take_along_time(x, flip_index(lengths, keep_last, x.shape[1]))
 
 
 # ---------------------------------------------------------------------------
@@ -278,8 +272,7 @@ def bidirectional_mamba(
         if last is None:
             m_rev = partial_flip(mamba_forward(h_rev, lp.mamba_rev, lengths=lengths), lengths, opts.keep_last)
         else:  # read the flipped block where the flip-back takes its last column from
-            rev_at = np.array([flip_index(int(n), opts.keep_last, width)[-1] for n in lengths], dtype=np.int64)
-            m_rev = mamba_forward(h_rev, lp.mamba_rev, rev_at, lengths)
+            m_rev = mamba_forward(h_rev, lp.mamba_rev, flip_index(lengths, opts.keep_last, width)[:, -1], lengths)
     if opts.no_gate:
         return ad.add(m_fwd, m_rev)
     gated_fwd = ad.mul(gate(h), m_fwd)

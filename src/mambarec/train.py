@@ -146,8 +146,11 @@ def train_model(cfg: RunConfig, split: SplitDataset, params: ModelParams | None 
 
     Stops early at the ``cfg.patience + 1``-th evaluation in a row without
     improvement, as RecBole does; with 0 epochs the freshly initialized
-    parameters come back unchanged.
+    parameters come back unchanged. Training epochs on a split with no
+    training rows is a ``DataError``: its zero loss would read as a perfect fit.
     """
+    if cfg.epochs > 0 and not split.train:
+        raise DataError(f"split has no training rows for {cfg.epochs} epoch(s): a user needs >= 4 interactions for one")
     rngs = seeded_rngs(cfg.seed)
     if params is None:
         params = init_model_params(cfg, split.n_items, rngs["init"])

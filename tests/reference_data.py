@@ -6,6 +6,7 @@ filter and leave-one-out split. The columnar pipeline must produce the same
 ``sequences_of`` convert between the two representations, and ``write_tsv``
 serializes a log back to the ingestion format. ``rank_target`` is the scalar
 ranking oracle, and ``popularity_ranks`` the train-frequency baseline.
+``flip_row_index`` is the one-row form of ``mambarec.layers.flip_index``.
 """
 
 from __future__ import annotations
@@ -77,7 +78,7 @@ def write_tsv(log: InteractionLog, path) -> None:
 def ingest(path) -> list[InteractionSequence]:
     """Parse a TSV with header user_id, item_id, timestamp[, rating]."""
     sequences: dict[str, InteractionSequence] = {}
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.DictReader(fh, delimiter="\t")
         if reader.fieldnames is None:
             return []
@@ -202,3 +203,19 @@ def popularity_ranks(split: SplitDataset, which: str = "test") -> np.ndarray:
         counts[row.target - 1] += 1
     targets = [row.target - 1 for row in split.rows(which)]
     return rank_targets_batch(np.tile(counts, (len(targets), 1)), np.asarray(targets))
+
+
+def flip_row_index(true_len: int, keep_last: int, width: int) -> np.ndarray:
+    """Source-index map for one left-padded row of ``width`` positions.
+
+    The row's real items occupy the last ``true_len`` columns in chronological
+    order. The first ``max(true_len - keep_last, 0)`` of them are reversed; the
+    final ``keep_last`` real items and all padding stay put.
+    """
+    idx = np.arange(width)
+    n = max(true_len - keep_last, 0)
+    if n > 1:
+        start = width - true_len
+        seg = slice(start, start + n)
+        idx[seg] = idx[seg][::-1]
+    return idx

@@ -181,7 +181,7 @@ def test_criterion_3_flip_algebra():
         width = int(rng.integers(1, 65))
         true_len = int(rng.integers(0, width + 1))
         keep = int(rng.integers(0, 65))
-        idx = flip_index(true_len, keep, width)
+        idx = flip_index([true_len], keep, width)[0]
         np.testing.assert_array_equal(idx[idx], np.arange(width), err_msg=f"case {case}: not an involution")
         assert sorted(idx.tolist()) == list(range(width)), f"case {case}: multiset changed"
         pad = width - true_len

@@ -387,6 +387,20 @@ def test_config_float_fields_take_integers():
     assert (cfg.lr, cfg.dropout, cfg.grad_clip) == (1, 0, 5)
 
 
+def test_train_on_a_split_without_training_rows_is_data_error(tmp_path, capsys):
+    tsv = _write_tsv(tmp_path / "three.tsv", length=3)  # three items each: valid and test rows only
+    main(["prepare", "--out", str(tmp_path / "p"), "--data", str(tsv), "--min-len", "1"])
+    assert "split rows: train=0 valid=14 test=14" in capsys.readouterr().out
+    rc = main(["train", "--out", str(tmp_path / "x"), "--data", str(tmp_path / "p" / "split.json"), *_tiny_args()])
+    err = capsys.readouterr().err
+    assert rc == 3
+    assert "split has no training rows for 1 epoch(s)" in err and "Traceback" not in err
+    assert not (tmp_path / "x" / "history.csv").exists()
+    rc = main(["train", "--out", str(tmp_path / "y"), "--data", str(tmp_path / "p" / "split.json"), *_tiny_args(),
+               "--epochs", "0"])
+    assert rc == 0  # no epochs to run: the fresh model is saved and evaluated
+
+
 def test_bad_split_file_is_data_error(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json", encoding="utf-8")

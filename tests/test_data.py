@@ -154,6 +154,16 @@ def test_ingest_non_utf8_is_data_error(tmp_path):
         ingest(path)
 
 
+def test_ingest_reads_past_a_utf8_byte_order_mark(tmp_path):
+    text = "user_id\titem_id\ttimestamp\trating\nu1\ta\t2\t1.0\nu2\tb\t1\t3.5\nu1\tc\t1\t2.0\n"
+    plain = ingest(_write(tmp_path, text))
+    marked = ingest(_write(tmp_path, "\ufeff" + text, name="bom.tsv"))
+    assert (tmp_path / "bom.tsv").read_bytes().startswith(b"\xef\xbb\xbfuser_id")
+    assert (marked.user_ids, marked.item_ids) == (plain.user_ids, plain.item_ids) == (["u1", "u2"], ["c", "a", "b"])
+    for column in ("user", "item", "timestamp", "rating"):
+        np.testing.assert_array_equal(getattr(marked, column), getattr(plain, column))
+
+
 # ---------------------------------------------------------------------------
 # filtering
 

@@ -3,10 +3,11 @@
 import numpy as np
 import pytest
 from helpers import check_grads, rand_tensor
+from reference_data import flip_row_index
 
 import mambarec.autodiff as ad
 from mambarec.autodiff import Tensor
-from mambarec.errors import ConfigError
+from mambarec.errors import ConfigError, ShapeError
 from mambarec.layers import (
     ConvGruParams,
     GateParams,
@@ -31,7 +32,7 @@ def _sigmoid(x):
 
 def flip_sequence(items: list, true_len: int, keep_last: int) -> list:
     """Apply the partial flip to a plain python row."""
-    return [items[i] for i in flip_index(true_len, keep_last, len(items))]
+    return [items[i] for i in flip_index([true_len], keep_last, len(items))[0]]
 
 
 # ---------------------------------------------------------------------------
@@ -58,7 +59,7 @@ def test_flip_keep_one_fixes_only_final_item():
 
 def test_flip_ignores_left_padding():
     # width 6, true_len 4, keep 1: columns 2..4 reverse, column 5 and padding stay
-    np.testing.assert_array_equal(flip_index(4, 1, 6), [0, 1, 4, 3, 2, 5])
+    np.testing.assert_array_equal(flip_index([4], 1, 6)[0], [0, 1, 4, 3, 2, 5])
 
 
 def test_flip_properties_random():
@@ -67,7 +68,7 @@ def test_flip_properties_random():
         width = int(rng.integers(1, 40))
         true_len = int(rng.integers(0, width + 1))
         keep = int(rng.integers(0, 40))
-        idx = flip_index(true_len, keep, width)
+        idx = flip_index([true_len], keep, width)[0]
         # involution
         np.testing.assert_array_equal(idx[idx], np.arange(width))
         # permutation (multiset preserved)
@@ -78,6 +79,41 @@ def test_flip_properties_random():
         kept = min(keep, true_len)
         if kept:
             np.testing.assert_array_equal(idx[width - kept :], np.arange(width - kept, width))
+
+
+def test_flip_index_matches_the_row_oracle():
+    """Every row of the batch map equals the one-row reference, over batches that
+    mix empty rows, single items, rows of exactly ``keep`` and ``keep + 1`` items
+    and full rows, with ``keep`` at 0, 1, 5 and at or beyond the width, in signed
+    and unsigned integer dtypes."""
+    rng = np.random.default_rng(27)
+    for case in range(200):
+        width = int(rng.integers(1, 40))
+        keep = int(rng.choice([0, 1, 5, width, width + int(rng.integers(1, 10))]))
+        edges = [n for n in (0, 1, keep, keep + 1, width) if n <= width]
+        lengths = np.concatenate([edges, rng.integers(0, width + 1, size=int(rng.integers(0, 8)))])
+        lengths = rng.permutation(lengths).astype(rng.choice([np.int64, np.int32, np.uint8]))
+        idx = flip_index(lengths, keep, width)
+        assert idx.shape == (len(lengths), width)
+        for b, n in enumerate(lengths.tolist()):
+            np.testing.assert_array_equal(
+                idx[b], flip_row_index(n, keep, width), err_msg=f"case {case}: len {n}, keep {keep}, width {width}"
+            )
+
+
+@pytest.mark.parametrize(
+    "lengths, keep, error",
+    [
+        ([[3]], 1, ShapeError),
+        ([3.0], 1, ShapeError),
+        ([-1], 1, ShapeError),
+        ([7], 1, ShapeError),
+        ([3], -1, ConfigError),
+    ],
+)
+def test_flip_index_rejects_bad_lengths_and_keep(lengths, keep, error):
+    with pytest.raises(error):
+        flip_index(lengths, keep, 6)
 
 
 def test_partial_flip_tensor_roundtrip():
