@@ -26,12 +26,10 @@ __all__ = [
     "Tape",
     "add",
     "mul",
-    "neg",
     "matmul",
     "sigmoid",
     "silu",
     "gelu",
-    "exp",
     "softplus",
     "tsum",
     "transpose",
@@ -201,10 +199,6 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     return _make(out, (a, b), bwd)
 
 
-def neg(a: Tensor) -> Tensor:
-    return _make(-a.data, (a,), lambda g: (-g,))
-
-
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     """Matrix product with numpy-style broadcasting over leading batch dims."""
     if a.ndim < 2 or b.ndim < 2:
@@ -262,11 +256,6 @@ def gelu(a: Tensor) -> Tensor:
         return (g * (0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * d_inner),)
 
     return _make(y, (a,), bwd)
-
-
-def exp(a: Tensor) -> Tensor:
-    y = np.exp(a.data)
-    return _make(y, (a,), lambda g: (g * y,))
 
 
 def softplus(a: Tensor) -> Tensor:

@@ -94,7 +94,7 @@ class RunConfig:
         with open(path, encoding="utf-8") as fh:
             try:
                 payload = json.load(fh)
-            except json.JSONDecodeError as err:
+            except (json.JSONDecodeError, UnicodeDecodeError) as err:  # a decode error is not valid JSON either
                 raise ConfigError(f"config file {path} is not valid JSON: {err}") from err
         return cls.from_dict(payload, f"config file {path}")
 

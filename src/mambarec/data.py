@@ -196,30 +196,42 @@ def _read_columns(path, reader) -> tuple:
         raise DataError(f"{path}: header missing columns {sorted(missing)}")
     u_col, i_col, t_col, r_col = col["user_id"], col["item_id"], col["timestamp"], col.get("rating", -1)
     width = max(u_col, i_col, t_col) + 1
-    for row in reader:
-        if not row:
-            continue
-        line = reader.line_num
-        if len(row) < width or not row[u_col] or not row[i_col] or not row[t_col]:
-            raise DataError(f"{path}:{line}: incomplete row")
-        ts_raw = row[t_col]
-        try:
-            timestamp.append(int(ts_raw))
-        except ValueError:
-            raise DataError(f"{path}:{line}: bad timestamp {ts_raw!r}") from None
-        except OverflowError:
-            raise DataError(f"{path}:{line}: timestamp {ts_raw!r} outside int64") from None
-        r = 0.0
-        if 0 <= r_col < len(row) and row[r_col]:
+    blank = 0  # one line each for the header, a row and a blank line, unless a quoted field runs on past its line
+    try:
+        for row in reader:
+            if not row:
+                blank += 1
+                continue
+            line = reader.line_num
+            if len(row) < width or not row[u_col] or not row[i_col] or not row[t_col]:
+                raise DataError(f"{path}:{line}: incomplete row")
+            ts_raw = row[t_col]
             try:
-                r = float(row[r_col])
+                timestamp.append(int(ts_raw))
             except ValueError:
-                raise DataError(f"{path}:{line}: bad rating {row[r_col]!r}") from None
-            if r != r:
-                raise DataError(f"{path}:{line}: NaN rating")
-        rating.append(r)
-        user.append(user_index.setdefault(row[u_col], len(user_index)))
-        item.append(item_index.setdefault(row[i_col], len(item_index)))
+                raise DataError(f"{path}:{line}: bad timestamp {ts_raw!r}") from None
+            except OverflowError:
+                raise DataError(f"{path}:{line}: timestamp {ts_raw!r} outside int64") from None
+            r = 0.0
+            if 0 <= r_col < len(row) and row[r_col]:
+                try:
+                    r = float(row[r_col])
+                except ValueError:
+                    raise DataError(f"{path}:{line}: bad rating {row[r_col]!r}") from None
+                if r != r:
+                    raise DataError(f"{path}:{line}: NaN rating")
+            rating.append(r)
+            user.append(user_index.setdefault(row[u_col], len(user_index)))
+            item.append(item_index.setdefault(row[i_col], len(item_index)))
+    except DataError:
+        if reader.line_num == 2 + len(user) + blank:  # the failing row, and each before it, took one line
+            raise
+    if reader.line_num > 1 + len(user) + blank:  # a quoted field ran on past its line: name the record's first line
+        with open(path, newline="", encoding="utf-8-sig") as fh:
+            again = csv.reader(fh, delimiter="\t")
+            ends = [0] + [again.line_num for _ in again]
+        start = next(end + 1 for end, next_end in zip(ends, ends[1:]) if next_end > end + 1)
+        raise DataError(f"{path}:{start}: quoted field does not close on its line")
     return list(user_index), user, list(item_index), item, timestamp, rating
 
 
@@ -382,7 +394,7 @@ def load_split(path) -> SplitDataset:
     with open(path, encoding="utf-8") as fh:
         try:
             payload = json.load(fh)
-        except json.JSONDecodeError as err:
+        except (json.JSONDecodeError, UnicodeDecodeError) as err:
             raise DataError(f"{path}: not a valid split artifact: {err}") from None
     if not isinstance(payload, dict) or payload.get("format") != SPLIT_FORMAT:
         raise DataError(f"{path}: not a {SPLIT_FORMAT} artifact")

@@ -3,9 +3,10 @@
 One block maps [B, L, D] -> [B, L, D] through: input projections to a state
 path and a gate path, causal depthwise convolution, SiLU, input-dependent
 (dt, B, C) projections, softplus step sizes, exponential-decay discretization
-A_bar = exp(dt * A) with B_bar = dt * B, a left-to-right linear recurrence,
-a skip term, SiLU gating, and an output projection. The recurrence is O(L)
-with a fixed-size hidden state per channel.
+A_bar = exp(dt * A) with B_bar = dt * B (the scan forms A = -exp(A_log) from
+the stored A_log, so every A_bar lies in (0, 1]), a left-to-right linear
+recurrence, a skip term, SiLU gating, and an output projection. The recurrence
+is O(L) with a fixed-size hidden state per channel.
 """
 
 from __future__ import annotations
@@ -36,10 +37,6 @@ class MambaBlockParams:
     A_log: Tensor  # [E*D, d_state]; A = -exp(A_log)
     D_skip: Tensor  # [E*D]
     out_proj: Tensor  # [E*D, D]
-
-    @property
-    def d_inner(self) -> int:
-        return self.in_u.shape[1]
 
     @property
     def d_state(self) -> int:
@@ -125,15 +122,16 @@ def flush_negligible(x: np.ndarray) -> None:
 
 
 def ssm_scan(
-    u: Tensor, delta: Tensor, A: Tensor, B: Tensor, C: Tensor, D_skip: Tensor, at: np.ndarray | None = None,
+    u: Tensor, delta: Tensor, A_log: Tensor, B: Tensor, C: Tensor, D_skip: Tensor, at: np.ndarray | None = None,
     lengths: np.ndarray | None = None,
 ) -> Tensor:
     """Left-to-right selective scan, recorded as one tape op.
 
-    Discretizes per step as A_bar = exp(delta * A), B_bar = delta * B, then
-    runs h_t = A_bar_t * h_{t-1} + B_bar_t * u_t and reads out
+    Forms A = -exp(A_log) once per call and discretizes per step as
+    A_bar = exp(delta * A), in (0, 1] for delta >= 0, and B_bar = delta * B,
+    then runs h_t = A_bar_t * h_{t-1} + B_bar_t * u_t and reads out
     y_t = sum_s C_t[s] * h_t[:, s] + D_skip * u_t. Shapes: u/delta [B, L, E*D],
-    A [E*D, S], B/C [B, L, S], D_skip [E*D]. Sequential in L by contract.
+    A_log [E*D, S], B/C [B, L, S], D_skip [E*D]. Sequential in L by contract.
     With ``at`` (one step per row, [B] ints) the readout runs at that step
     only and the output is [B, E*D]: row b holds y_{at[b]}.
 
@@ -166,9 +164,9 @@ def ssm_scan(
     if u.ndim != 3 or delta.shape != u.shape:
         raise ShapeError(f"ssm_scan: u {u.shape} and delta {delta.shape} must both be [B, L, E*D]")
     bsz, length, d_inner = u.shape
-    d_state = A.shape[1]
-    if A.shape != (d_inner, d_state) or B.shape != (bsz, length, d_state) or C.shape != B.shape:
-        raise ShapeError(f"ssm_scan: inconsistent shapes A={A.shape} B={B.shape} C={C.shape}")
+    d_state = A_log.shape[1]
+    if A_log.shape != (d_inner, d_state) or B.shape != (bsz, length, d_state) or C.shape != B.shape:
+        raise ShapeError(f"ssm_scan: inconsistent shapes A_log={A_log.shape} B={B.shape} C={C.shape}")
     if at is not None:
         at = np.asarray(at)
         if at.shape != (bsz,) or not np.issubdtype(at.dtype, np.integer) or ((at < 0) | (at >= length)).any():
@@ -180,8 +178,9 @@ def ssm_scan(
     first = length - lengths  # each row's first real step
     order = np.argsort(first, kind="stable")  # longest rows first
 
-    inputs = (u, delta, A, B, C, D_skip)
-    uu, dd, a, bb, cc, dsk = (t.data for t in inputs)
+    inputs = (u, delta, A_log, B, C, D_skip)
+    uu, dd, a_log, bb, cc, dsk = (t.data for t in inputs)
+    a = -np.exp(a_log)
     recording = ad.Tape.active() is not None and any(t.requires_grad for t in inputs)
     rows, steps = scan_tile(bsz, length, d_inner, d_state, uu.itemsize)
     # time-major views [L, B, ...], so a tile of any of them is x[t0:t1, rows of the block]
@@ -290,7 +289,7 @@ def ssm_scan(
             gd[lo:] += (g_exp @ a[:, :, None])[..., 0].T.reshape(gd[lo:].shape)
             ga += (dt[lo:].reshape(-1, d_inner).T[:, None, :] @ g_exp)[:, 0]
             gdelta_tm[t0:t1, idx] = gd
-        return gu, gdelta, ga, gb, gc, (g * uu).sum(axis=(0, 1))
+        return gu, gdelta, ga * a, gb, gc, (g * uu).sum(axis=(0, 1))  # dA/dA_log = A
 
     if at is None:
         return ad._make(y, inputs, bwd)
@@ -335,8 +334,7 @@ def mamba_forward(
     dt = ad.softplus(ad.add(ad.matmul(ad.index(dbc, np.s_[..., :rank]), p.dt_proj), p.dt_bias))
     b_in = ad.index(dbc, np.s_[..., rank : rank + d_state])
     c_out = ad.index(dbc, np.s_[..., rank + d_state :])
-    a = ad.neg(ad.exp(p.A_log))  # strictly negative
 
-    y = ssm_scan(u, dt, a, b_in, c_out, p.D_skip, at=at, lengths=lengths)
+    y = ssm_scan(u, dt, p.A_log, b_in, c_out, p.D_skip, at=at, lengths=lengths)
     y = ad.mul(y, ad.silu(z))
     return ad.matmul(y, p.out_proj)

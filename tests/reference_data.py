@@ -79,7 +79,8 @@ def ingest(path) -> list[InteractionSequence]:
     """Parse a TSV with header user_id, item_id, timestamp[, rating]."""
     sequences: dict[str, InteractionSequence] = {}
     with open(path, newline="", encoding="utf-8-sig") as fh:
-        reader = csv.DictReader(fh, delimiter="\t")
+        lines = list(fh)  # with their line breaks, which a quoted field may hold
+        reader = csv.DictReader(lines, delimiter="\t")
         if reader.fieldnames is None:
             return []
         required = {"user_id", "item_id", "timestamp"}
@@ -87,8 +88,14 @@ def ingest(path) -> list[InteractionSequence]:
         if missing:
             raise DataError(f"{path}: header missing columns {sorted(missing)}")
         has_rating = "rating" in reader.fieldnames
+        end = reader.line_num  # the last line of the records read so far
         for row in reader:
-            line = reader.line_num
+            start = end + 1
+            while lines[start - 1] in ("\n", "\r\n", "\r"):  # blank lines, which the reader skips
+                start += 1
+            line = end = reader.line_num
+            if line > start:
+                raise DataError(f"{path}:{start}: quoted field does not close on its line")
             user = row.get("user_id")
             item = row.get("item_id")
             ts_raw = row.get("timestamp")

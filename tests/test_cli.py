@@ -236,6 +236,28 @@ def test_prepare_on_non_utf8_input_is_data_error(tmp_path, capsys):
     assert "cp1252.tsv" in err and "Traceback" not in err
 
 
+def test_prepare_on_an_unterminated_quote_is_data_error(tmp_path, capsys):
+    # the quote opened on line 3 closes on line 6: read as one field, it would swallow the three lines after it
+    tsv = tmp_path / "quote.tsv"
+    tsv.write_text("user_id\titem_id\ttimestamp\nu0\ti0\t0\nu1\t\"i1\t1\n\nu2\ti2\t2\nu3\ti4\"\t4\nu5\ti5\t5\n",
+                   encoding="utf-8")
+    rc = main(["prepare", "--out", str(tmp_path / "x"), "--data", str(tsv), "--min-len", "1"])
+    err = capsys.readouterr().err
+    assert rc == 3
+    assert "quote.tsv:3: quoted field does not close on its line" in err and "Traceback" not in err
+    assert not (tmp_path / "x" / "split.json").exists()
+
+
+@pytest.mark.parametrize("command, flag", [("prepare", "--config"), ("train", "--data")])
+def test_a_non_utf8_config_or_split_file_exits_with_a_code(tmp_path, capsys, command, flag):
+    bad = tmp_path / "cp1252.json"
+    bad.write_bytes(b'{"dim": "caf\xff"}')
+    rc = main([command, "--out", str(tmp_path / "x"), flag, str(bad)])
+    err = capsys.readouterr().err
+    assert rc == (2 if flag == "--config" else 3)
+    assert "cp1252.json" in err and "Traceback" not in err
+
+
 def test_rerun_from_echoed_config_is_bitwise_identical(tmp_path, prepared):
     first = tmp_path / "first"
     main(["train", "--out", str(first), "--data", str(prepared), *_tiny_args()])

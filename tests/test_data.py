@@ -102,6 +102,19 @@ def test_ingest_quoted_field_holds_a_tab(tmp_path):
     assert sequences_of(ingest(out)) == seqs
 
 
+@pytest.mark.parametrize("text, line", [
+    ('u0\ti0\t0\n\n\nu1\t"i1\t1\nu2\ti2\t2\nu3\ti3"\t3\nu4\ti4\t4\n', 5),  # closes on line 7
+    ('u0\ti0\t0\r\n\r\nu1\t"i1\t1\r\nu2\ti2"\t2\r\n', 4),
+    ('u0\ti0\t0\nu1\t"i1\t1\nu2\ti2\t2\n', 3),  # never closes
+    ('u1\t"a\nb"\t1\n', 2),
+])
+def test_ingest_rejects_a_record_over_more_than_one_line(tmp_path, text, line):
+    path = _write(tmp_path, "user_id\titem_id\ttimestamp\n" + text)
+    for read in ingest, reference_data.ingest:
+        with pytest.raises(DataError, match=f"data.tsv:{line}: quoted field does not close on its line"):
+            read(path)
+
+
 def test_ingest_skips_blank_lines_and_names_the_row_line(tmp_path):
     path = _write(tmp_path, "user_id\titem_id\ttimestamp\n\nu1\ta\t1\n\n\nu1\tb\t2\n\n")
     assert [it.item_id for it in sequences_of(ingest(path))[0].items] == ["a", "b"]

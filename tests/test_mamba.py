@@ -21,10 +21,11 @@ def _softplus(x):
     return np.logaddexp(0.0, x)
 
 
-def unrolled_scan_oracle(u, delta, A, B, C, D_skip):
-    """Dense brute-force sum: y_t = C_t . sum_{s<=t} (prod_{s<r<=t} dA_r) dBu_s + D*u_t."""
+def unrolled_scan_oracle(u, delta, A_log, B, C, D_skip):
+    """Dense brute-force sum: y_t = C_t . sum_{s<=t} (prod_{s<r<=t} dA_r) dBu_s + D*u_t, with A = -exp(A_log)."""
     bsz, length, d_inner = u.shape
-    d_state = A.shape[1]
+    d_state = A_log.shape[1]
+    A = -np.exp(A_log)
     dA = np.exp(delta[..., None] * A)  # [B, L, ED, S]
     dBu = delta[..., None] * u[..., None] * B[:, :, None, :]
     y = np.zeros_like(u)
@@ -42,7 +43,7 @@ def unrolled_scan_oracle(u, delta, A, B, C, D_skip):
 def stepwise_block_oracle(x, p):
     """Independent per-timestep numpy evaluation of the whole block."""
     bsz, length, dim = x.shape
-    d_inner, d_state, rank = p.d_inner, p.d_state, p.dt_rank
+    d_inner, d_state, rank = p.in_u.shape[1], p.d_state, p.dt_rank
     k = p.conv_kernel.shape[0]
     window = np.zeros((bsz, k, d_inner))
     h = np.zeros((bsz, d_inner, d_state))
@@ -65,16 +66,33 @@ def stepwise_block_oracle(x, p):
 
 
 def test_scalar_recurrence_hand_case():
-    # A_bar = 0.5 via delta=1, A=ln(0.5); B_bar = 1, C = 1, D = 0; inputs [1, 1]
+    # A_bar = 0.5 via delta=1, A = -exp(A_log) = ln(0.5); B_bar = 1, C = 1, D = 0; inputs [1, 1]
     y = ssm_scan(
         Tensor(np.ones((1, 2, 1))),
         Tensor(np.ones((1, 2, 1))),
-        Tensor([[np.log(0.5)]]),
+        Tensor([[np.log(np.log(2.0))]]),
         Tensor(np.ones((1, 2, 1))),
         Tensor(np.ones((1, 2, 1))),
         Tensor(np.zeros(1)),
     )
     np.testing.assert_allclose(y.data.ravel(), [1.0, 1.5], atol=1e-12)
+
+
+@pytest.mark.parametrize("taped", [False, True], ids=["untaped", "taped"])
+def test_scan_output_never_grows_for_any_stored_A_log(taped):
+    # A = -exp(A_log) < 0 for every real A_log, so one unit input at step 0 can only decay after it
+    rng = np.random.default_rng(36)
+    length, d_inner, d_state = 40, 4, 8
+    a_log = rng.uniform(-3.0, 3.0, size=(d_inner, d_state))
+    assert (a_log > 0).any() and (a_log < 0).any()
+    u = np.zeros((1, length, d_inner))
+    u[:, 0] = 1.0
+    ones = np.ones((1, length, d_state))
+    inputs = [Tensor(x, requires_grad=taped) for x in (u, np.full(u.shape, 0.5), a_log, ones, ones, np.zeros(d_inner))]
+    with Tape() if taped else nullcontext():
+        y = ssm_scan(*inputs).data[0]
+    assert (y[0] > 0).all()
+    assert (np.diff(y, axis=0) <= 0).all()
 
 
 def test_single_step_has_no_history():
@@ -129,7 +147,7 @@ def test_scan_shape_validation():
 
 
 def _scan_inputs(rng, bsz=2, length=8, d_inner=3, d_state=4):
-    """Float64 scan inputs in the ranges the block produces: delta > 0, A < 0."""
+    """Float64 scan inputs: delta > 0, and A_log < 0, which puts A = -exp(A_log) in (-1, 0)."""
     return [
         rand_tensor(rng, bsz, length, d_inner),
         Tensor(np.abs(rng.normal(size=(bsz, length, d_inner))) + 0.05, requires_grad=True),
