@@ -187,7 +187,10 @@ def _read_columns(path, reader) -> tuple:
     user_index: dict[str, int] = {}
     item_index: dict[str, int] = {}
     user, item, timestamp, rating = array("q"), array("q"), array("q"), array("d")
-    header = next(reader, None)
+    try:
+        header = next(reader, None)
+    except csv.Error as err:  # a header field longer than csv.field_size_limit()
+        raise DataError(f"{path}:1: {err}") from None
     if header is None:
         return [], user, [], item, timestamp, rating
     col = {name: i for i, name in enumerate(header)}
@@ -226,10 +229,18 @@ def _read_columns(path, reader) -> tuple:
     except DataError:
         if reader.line_num == 2 + len(user) + blank:  # the failing row, and each before it, took one line
             raise
+    except csv.Error as err:  # a field longer than csv.field_size_limit()
+        if reader.line_num == 2 + len(user) + blank:
+            raise DataError(f"{path}:{reader.line_num}: {err}") from None
     if reader.line_num > 1 + len(user) + blank:  # a quoted field ran on past its line: name the record's first line
         with open(path, newline="", encoding="utf-8-sig") as fh:
             again = csv.reader(fh, delimiter="\t")
-            ends = [0] + [again.line_num for _ in again]
+            ends = [0]
+            try:
+                for _ in again:
+                    ends.append(again.line_num)
+            except csv.Error:  # the record that failed above, which runs on to the line the reader stopped at
+                ends.append(again.line_num)
         start = next(end + 1 for end, next_end in zip(ends, ends[1:]) if next_end > end + 1)
         raise DataError(f"{path}:{start}: quoted field does not close on its line")
     return list(user_index), user, list(item_index), item, timestamp, rating

@@ -85,10 +85,6 @@ class LayerOptions:
     no_gate: bool = False  # unweighted sum of the two directional outputs
     no_gru: bool = False  # drop the GRU branch; bidirectional output passes through
 
-    def __post_init__(self):
-        if self.keep_last < 0:
-            raise ConfigError(f"keep_last must be >= 0, got {self.keep_last}")
-
 
 def init_layer_params(
     rng: np.random.Generator,
@@ -157,7 +153,7 @@ def flip_index(lengths: np.ndarray, keep_last: int, width: int) -> np.ndarray:
         raise ConfigError(f"keep_last must be >= 0, got {keep_last}")
     cols = np.arange(width)
     start = width - lengths[:, None].astype(np.int64)  # signed, so no unsigned dtype wraps below
-    end = np.maximum(start, width - keep_last)  # each row reverses [start, end)
+    end = np.maximum(start, width - min(keep_last, width))  # each row reverses [start, end)
     return np.where((cols >= start) & (cols < end), start + end - 1 - cols, cols)
 
 

@@ -132,8 +132,8 @@ def ssm_scan(
     then runs h_t = A_bar_t * h_{t-1} + B_bar_t * u_t and reads out
     y_t = sum_s C_t[s] * h_t[:, s] + D_skip * u_t. Shapes: u/delta [B, L, E*D],
     A_log [E*D, S], B/C [B, L, S], D_skip [E*D]. Sequential in L by contract.
-    With ``at`` (one step per row, [B] ints) the readout runs at that step
-    only and the output is [B, E*D]: row b holds y_{at[b]}.
+    With ``at`` (one step per row, [B] ints) the output is [B, E*D]: row b
+    holds y_{at[b]}, the full read's column at that step, bitwise.
 
     ``lengths`` ([B] ints in [0, L]) marks each row's last ``lengths[b]``
     steps as real and the steps before them as left padding. Padding acts as
@@ -154,12 +154,13 @@ def ssm_scan(
     loop only multiplies and adds in place, and the readout is one batched
     matmul. Taped and untaped calls run the same forward into one tile of
     scratch; a recorded call also keeps the state entering each time chunk
-    ([n_chunks, B, E*D, S]). An ``at`` call copies each row's read state out
-    of its tile and reads them out once at the end. The backward walks the
-    same tiles right to left, recomputes A_bar and, from the chunk's entering
-    state, the tile's states, carries only the state gradient through the
-    loop, and takes every other gradient from batched matmuls; an ``at`` call
-    first scatters its gradient into a zero [B, L, E*D] array.
+    ([n_chunks, B, E*D, S]). An ``at`` call reads out, as the full read does,
+    only the tiles that hold a row's read step, and returns each row's step
+    of the [B, L, E*D] output. The backward walks the same tiles right
+    to left, recomputes A_bar and, from the chunk's entering state, the
+    tile's states, carries only the state gradient through the loop, and
+    takes every other gradient from batched matmuls; an ``at`` call first
+    scatters its gradient into a zero [B, L, E*D] array.
     """
     if u.ndim != 3 or delta.shape != u.shape:
         raise ShapeError(f"ssm_scan: u {u.shape} and delta {delta.shape} must both be [B, L, E*D]")
@@ -223,8 +224,9 @@ def ssm_scan(
 
     y = np.zeros_like(uu)  # steps before every tile of their row block stay zero
     y_tm = y.swapaxes(0, 1)
-    if at is not None:  # h_at[b] gets row b's state at step at[b]
-        read_at, h_at = at.tolist(), np.zeros((bsz, d_inner, d_state), dtype=uu.dtype)
+    if at is not None:  # reads[block, chunk]: a row of the block reads a step of the chunk
+        reads = np.zeros((-(-bsz // rows), -(-length // steps)), dtype=bool)
+        reads[np.argsort(order) // rows, at // steps] = True
     first_bad = length
     h = np.empty((rows, d_inner, d_state), dtype=uu.dtype)  # the block's state; a row not yet live holds zero
     for t0, t1, b0, idx, real, dt, ut, bt, ct, dec, hs in tiles():
@@ -239,16 +241,15 @@ def ssm_scan(
         h[:n] = hs[-1]
         if recording and t1 < length:
             bounds[t1 // steps, b0 : b0 + n] = h[:n]
-        if at is None:
+        if at is None or reads[b0 // rows, t0 // steps]:
             y_tm[t0:t1, idx] = (hs @ ct[..., None])[..., 0] + ut * dsk
-        else:
-            for j, b in enumerate(idx.tolist()):
-                if t0 <= read_at[b] < t1:
-                    h_at[b] = hs[read_at[b] - t0, j]
     if first_bad < length:
         raise NumericError(f"ssm_scan: non-finite hidden state at step {first_bad}")
 
     def bwd(g):
+        if at is not None:  # the gradient of the full read, zero off the read steps
+            g, g_at = np.zeros_like(uu), g
+            g[np.arange(bsz), at] = g_at
         g = np.where((np.arange(length) >= first[:, None])[..., None], g, 0)  # padding passes no gradient
         gu = g * dsk
         gdelta = np.zeros_like(dd)
@@ -291,18 +292,7 @@ def ssm_scan(
             gdelta_tm[t0:t1, idx] = gd
         return gu, gdelta, ga * a, gb, gc, (g * uu).sum(axis=(0, 1))  # dA/dA_log = A
 
-    if at is None:
-        return ad._make(y, inputs, bwd)
-    rows_at = np.arange(bsz)
-    u_at = np.where((at >= first)[:, None], uu[rows_at, at], 0)
-    y = (h_at @ cc[rows_at, at, :, None])[..., 0] + u_at * dsk
-
-    def bwd_at(g):
-        g_full = np.zeros_like(uu)
-        g_full[rows_at, at] = g
-        return bwd(g_full)
-
-    return ad._make(y, inputs, bwd_at)
+    return ad._make(y if at is None else y[np.arange(bsz), at], inputs, bwd)
 
 
 def mamba_forward(

@@ -75,27 +75,40 @@ def write_tsv(log: InteractionLog, path) -> None:
         )
 
 
+def _records(reader):
+    """The reader's records, then the ``csv.Error`` that stopped it, if one did."""
+    try:
+        yield from reader
+    except csv.Error as err:
+        yield err
+
+
 def ingest(path) -> list[InteractionSequence]:
     """Parse a TSV with header user_id, item_id, timestamp[, rating]."""
     sequences: dict[str, InteractionSequence] = {}
     with open(path, newline="", encoding="utf-8-sig") as fh:
         lines = list(fh)  # with their line breaks, which a quoted field may hold
         reader = csv.DictReader(lines, delimiter="\t")
-        if reader.fieldnames is None:
-            return []
+        try:
+            if reader.fieldnames is None:
+                return []
+        except csv.Error as err:
+            raise DataError(f"{path}:1: {err}") from None
         required = {"user_id", "item_id", "timestamp"}
         missing = required - set(reader.fieldnames)
         if missing:
             raise DataError(f"{path}: header missing columns {sorted(missing)}")
         has_rating = "rating" in reader.fieldnames
         end = reader.line_num  # the last line of the records read so far
-        for row in reader:
+        for row in _records(reader):
             start = end + 1
             while lines[start - 1] in ("\n", "\r\n", "\r"):  # blank lines, which the reader skips
                 start += 1
-            line = end = reader.line_num
+            line = end = reader.reader.line_num  # DictReader's own count stops short of a record that fails
             if line > start:
                 raise DataError(f"{path}:{start}: quoted field does not close on its line")
+            if isinstance(row, csv.Error):
+                raise DataError(f"{path}:{line}: {row}")
             user = row.get("user_id")
             item = row.get("item_id")
             ts_raw = row.get("timestamp")

@@ -88,6 +88,13 @@ def test_train_writes_artifacts_and_config_echo(tmp_path, prepared):
     assert echoed.data == str(prepared)
 
 
+def test_train_with_a_flip_keep_past_any_width_keeps_every_item(tmp_path, prepared):
+    out = tmp_path / "run"
+    rc = main(["train", "--out", str(out), "--data", str(prepared), *_tiny_args(), "--flip-keep", str(10**23)])
+    assert rc == 0
+    assert RunConfig.from_file(out / "config.json").flip_keep == 10**23
+
+
 def test_eval_loads_checkpoint(tmp_path, prepared, capsys):
     run = tmp_path / "run"
     main(["train", "--out", str(run), "--data", str(prepared), *_tiny_args()])
@@ -245,6 +252,20 @@ def test_prepare_on_an_unterminated_quote_is_data_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert rc == 3
     assert "quote.tsv:3: quoted field does not close on its line" in err and "Traceback" not in err
+    assert not (tmp_path / "x" / "split.json").exists()
+
+
+@pytest.mark.parametrize("text, message", [
+    ('u0\t"i0\t0\n' + "u1\ti1\t1\n" * 20_000, ":2: quoted field does not close on its line"),
+    ("u0\ti0\t0\nu1\t" + "x" * 200_000 + "\t1\n", ":3: field larger than field limit (131072)"),
+], ids=["unclosed-quote", "long-field"])
+def test_prepare_on_a_field_over_the_size_limit_is_data_error(tmp_path, capsys, text, message):
+    tsv = tmp_path / "long.tsv"
+    tsv.write_text("user_id\titem_id\ttimestamp\n" + text, encoding="utf-8")
+    rc = main(["prepare", "--out", str(tmp_path / "x"), "--data", str(tsv), "--min-len", "1"])
+    err = capsys.readouterr().err
+    assert rc == 3
+    assert "long.tsv" + message in err and "Traceback" not in err
     assert not (tmp_path / "x" / "split.json").exists()
 
 

@@ -1,5 +1,7 @@
 """Ingestion, filtering, leave-one-out splitting, batching."""
 
+import csv
+
 import numpy as np
 import pytest
 import reference_data
@@ -107,11 +109,24 @@ def test_ingest_quoted_field_holds_a_tab(tmp_path):
     ('u0\ti0\t0\r\n\r\nu1\t"i1\t1\r\nu2\ti2"\t2\r\n', 4),
     ('u0\ti0\t0\nu1\t"i1\t1\nu2\ti2\t2\n', 3),  # never closes
     ('u1\t"a\nb"\t1\n', 2),
+    pytest.param('u1\t"i1\t1\n' + "u2\ti2\t2\n" * 20_000, 2, id="never-closes-past-the-field-size-limit"),
 ])
 def test_ingest_rejects_a_record_over_more_than_one_line(tmp_path, text, line):
     path = _write(tmp_path, "user_id\titem_id\ttimestamp\n" + text)
     for read in ingest, reference_data.ingest:
         with pytest.raises(DataError, match=f"data.tsv:{line}: quoted field does not close on its line"):
+            read(path)
+
+
+@pytest.mark.parametrize("text, line", [
+    ("user_id\titem_id\ttimestamp\nu0\ti0\t0\nu1\t" + "x" * 200_000 + "\t1\nu2\ti2\t2\n", 3),
+    ("user_id\t" + "x" * 200_000 + "\titem_id\ttimestamp\nu0\ti0\t0\n", 1),
+], ids=["row", "header"])
+def test_ingest_names_the_line_of_a_field_over_the_size_limit(tmp_path, text, line):
+    path = _write(tmp_path, text)
+    message = rf"data.tsv:{line}: field larger than field limit \({csv.field_size_limit()}\)"
+    for read in ingest, reference_data.ingest:
+        with pytest.raises(DataError, match=message):
             read(path)
 
 

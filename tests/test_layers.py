@@ -101,6 +101,13 @@ def test_flip_index_matches_the_row_oracle():
             )
 
 
+def test_flip_index_keeps_every_item_in_place_for_any_keep_past_the_width():
+    lengths = np.array([0, 1, 5, 9, 10])
+    for keep in 10, 11, 10**30:
+        np.testing.assert_array_equal(flip_index(lengths, keep, 10), np.tile(np.arange(10), (5, 1)))
+    assert np.array_equal(flip_index(lengths, 10**30, 10), flip_index(lengths, 10, 10))
+
+
 @pytest.mark.parametrize(
     "lengths, keep, error",
     [

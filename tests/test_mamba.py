@@ -376,7 +376,7 @@ def test_scan_read_at_one_step_per_row_matches_dense_unrolled_oracle(taped):
 
 
 def test_taped_and_untaped_scan_read_at_are_bitwise_equal():
-    # both calls copy their read states out of the scratch tile, but only the taped one keeps chunk-boundary states
+    # both calls read out the tiles that hold a read step, but only the taped one keeps chunk-boundary states
     bsz, length, d_inner, d_state = _multi_tile_shape()
     rows, steps = scan_tile(bsz, length, d_inner, d_state, 8)
     inputs = _scan_inputs(np.random.default_rng(25), bsz, length, d_inner, d_state)
@@ -530,8 +530,6 @@ def test_scan_reads_no_chunk_before_a_row_is_live(taped, read_at):
     inputs = _scan_inputs(rng, bsz, length, d_inner, d_state)
     at = np.append(rng.integers(first[:3], length), length - 1) if read_at else None
     skipped = np.arange(length) < live_from[:, None]
-    if read_at:
-        skipped[3, at[3]] = False  # the empty row has no real step to read; its zero state reads C there
     w = Tensor(rng.normal(size=(bsz, length, d_inner) if at is None else (bsz, d_inner)))
 
     def run(fill):
@@ -550,6 +548,43 @@ def test_scan_reads_no_chunk_before_a_row_is_live(taped, read_at):
     zero = run(0.0)
     assert all(np.isfinite(x).all() for x in zero)
     assert all(np.array_equal(x, z) for x, z in zip(run(np.nan), zero))
+
+
+@pytest.mark.parametrize("taped", [False, True], ids=["untaped", "taped"])
+def test_scan_read_at_is_the_full_read_at_that_step(taped):
+    # float64 at E*D 128, S 32: two row blocks of 4 rows, five 4-step time chunks and a 3-step one
+    bsz, length, d_inner, d_state = 8, 23, 128, 32
+    rows, steps = scan_tile(bsz, length, d_inner, d_state, 8)
+    assert (rows, steps) == (4, 4)
+    lengths = np.array([length, 0, 1, 9, 14, 5, 22, 3])  # in length order, block 0 is rows 0, 6, 4, 3
+    first = length - lengths
+    at = np.array([0, 21, 22, 5, 8, 22, 0, 10])
+    # real steps (rows 0, 2, 5), padding inside a live chunk (rows 4, 6), before the row's first live chunk
+    # (rows 3, 7), the empty row (row 1); reads in the first chunk and in the last
+    live_chunk = first < np.minimum((at // steps + 1) * steps, length)
+    assert (at >= first).tolist() == [1, 0, 1, 0, 0, 1, 0, 0] and live_chunk.tolist() == [1, 0, 1, 0, 1, 1, 1, 0]
+    assert at.min() < steps and at.max() >= length - length % steps
+    rng = np.random.default_rng(36)
+    inputs = _scan_inputs(rng, bsz, length, d_inner, d_state)
+    inputs[4].data[~live_chunk, at[~live_chunk]] = np.nan  # C where a row is read but not live
+    w = rng.normal(size=(bsz, d_inner))
+    w_full = np.zeros((bsz, length, d_inner))
+    w_full[np.arange(bsz), at] = w
+
+    def run(**kw):
+        for t in inputs:
+            t.grad = None
+        with Tape() if taped else nullcontext() as tape:
+            y = ssm_scan(*inputs, lengths=lengths, **kw)
+            loss = ad.tsum(ad.mul(y, Tensor(w if kw else w_full)))
+        if not taped:
+            return [y.data]
+        tape.backward(loss)
+        return [y.data] + [t.grad for t in inputs]
+
+    read, full = run(at=at), run()
+    assert np.array_equal(read[0], full[0][np.arange(bsz), at]) and np.isfinite(read[0]).all()
+    assert all(np.array_equal(x, y) for x, y in zip(read[1:], full[1:]))
 
 
 @pytest.mark.parametrize("lengths", [np.array([3]), np.array([3, 8, 1]), np.array([-1, 3]), np.array([9, 3]),
