@@ -315,15 +315,18 @@ def take_along_time(a: Tensor, index: np.ndarray) -> Tensor:
 
 
 def embedding(table: Tensor, ids: np.ndarray) -> Tensor:
-    """Row gather: ``out[..., :] = table[ids[...], :]``; grads sum per row."""
+    """Row gather over ids in [0, K]: id k >= 1 reads ``table[k - 1]``; padding id 0 reads zeros, no gradient."""
     ids = np.asarray(ids)
-    if ids.size and (ids.min() < 0 or ids.max() >= table.shape[0]):
-        raise IndexError(f"embedding ids outside [0, {table.shape[0]})")
-    out = table.data[ids]
+    if ids.size and (ids.min() < 0 or ids.max() > table.shape[0]):
+        raise IndexError(f"embedding ids outside [0, {table.shape[0]}]")
+    real = ids > 0
+    rows = ids[real] - 1
+    out = np.zeros(ids.shape + table.shape[1:], dtype=table.dtype)
+    out[real] = table.data[rows]
 
     def bwd(g):
         gt = np.zeros_like(table.data)
-        np.add.at(gt, ids.reshape(-1), g.reshape(-1, table.shape[1]))
+        np.add.at(gt, rows, g[real])
         return (gt,)
 
     return _make(out, (table,), bwd)

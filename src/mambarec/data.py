@@ -197,6 +197,8 @@ def _read_columns(path, reader) -> tuple:
     missing = {"user_id", "item_id", "timestamp"} - col.keys()
     if missing:
         raise DataError(f"{path}: header missing columns {sorted(missing)}")
+    if twice := [name for name in ("user_id", "item_id", "timestamp", "rating") if header.count(name) > 1]:
+        raise DataError(f"{path}:1: header names column {twice[0]!r} twice")
     u_col, i_col, t_col, r_col = col["user_id"], col["item_id"], col["timestamp"], col.get("rating", -1)
     width = max(u_col, i_col, t_col) + 1
     blank = 0  # one line each for the header, a row and a blank line, unless a quoted field runs on past its line
@@ -390,9 +392,11 @@ def save_split(split: SplitDataset, path) -> None:
         fh.write("\n")
 
 
-def _row_fault(row: SplitRow, n_items: int, groups: dict) -> str | None:
+def _row_fault(row: SplitRow, n_users: int, n_items: int, groups: dict) -> str | None:
     """Why a loaded split row cannot be batched, ranked or grouped; None when it can."""
-    if type(row.user) is not int or groups.get(row.user) not in GROUP_NAMES:
+    if type(row.user) is not int or not 1 <= row.user <= n_users:
+        return f"user {row.user!r} is not an int in [1, {n_users}]"
+    if groups.get(row.user) not in GROUP_NAMES:
         return f"user {row.user!r} has no Short/Medium/Long group"
     if not isinstance(row.inputs, list) or not row.inputs:
         return "inputs must be a non-empty list"
@@ -419,9 +423,9 @@ def load_split(path) -> SplitDataset:
         splits = {which: [SplitRow(*row) for row in payload["splits"][which]] for which in ("train", "valid", "test")}
     except (KeyError, TypeError, ValueError) as err:
         raise DataError(f"{path}: not a valid split artifact: {err!r}") from None
-    n_items = len(payload["item_ids"])
+    n_users, n_items = len(payload["user_ids"]), len(payload["item_ids"])
     for which, rows in splits.items():
         for k, row in enumerate(rows):
-            if fault := _row_fault(row, n_items, groups):
+            if fault := _row_fault(row, n_users, n_items, groups):
                 raise DataError(f"{path}: {which} row {k} {[row.user, row.inputs, row.target]!r}: {fault}")
     return SplitDataset(payload["user_ids"], payload["item_ids"], payload["max_len"], **splits, groups=groups)

@@ -1,7 +1,7 @@
 """End-to-end recommender: item embedding, encoder stack, next-item scoring.
 
-Item id 0 is reserved for left padding: its embedding row is zero and never
-updated. Scoring ties the output table to the input embedding by default
+Item tables hold only items: item id k is row k - 1. Left-padding id 0 has no
+row; ``autodiff.embedding`` reads it as zeros. Scoring ties the output table to the input embedding by default
 (``tie_output``); an untied table can be requested in the config. The user
 representation is the encoder output at the final column, which left-padding
 guarantees is the most recent real item.
@@ -37,18 +37,18 @@ __all__ = [
     "CHECKPOINT_FORMAT",
 ]
 
-CHECKPOINT_FORMAT = "mambarec-checkpoint-v2"
+CHECKPOINT_FORMAT = "mambarec-checkpoint-v3"
 
 
 @dataclass
 class ModelParams:
-    embedding: Tensor  # [n_items + 1, D]; row 0 = padding, all-zero
+    embedding: Tensor  # [n_items, D]; row k - 1 is item id k
     layers: list[LayerParams]
-    out_embedding: Tensor | None = None  # [n_items + 1, D] when untied
+    out_embedding: Tensor | None = None  # [n_items, D] when untied
 
     @property
     def n_items(self) -> int:
-        return self.embedding.shape[0] - 1
+        return self.embedding.shape[0]
 
 
 def init_model_params(cfg, n_items: int, rng: np.random.Generator) -> ModelParams:
@@ -56,16 +56,15 @@ def init_model_params(cfg, n_items: int, rng: np.random.Generator) -> ModelParam
     if n_items < 1:
         raise ConfigError("need at least one item")
     dtype = np.dtype(cfg.precision)
-    emb = rng.normal(0.0, 0.02, size=(n_items + 1, cfg.dim)).astype(dtype)
-    emb[0] = 0.0
+    # each item table draws a row 0 and drops it, so a seed builds the model it built when row 0 was padding
+    emb = rng.normal(0.0, 0.02, size=(n_items + 1, cfg.dim))[1:].astype(dtype)
     layers = [
         init_layer_params(rng, cfg.dim, cfg.d_state, cfg.conv_width, cfg.expand, dtype)
         for _ in range(cfg.n_layers)
     ]
     out_emb = None
     if not cfg.tie_output:
-        out = rng.normal(0.0, 0.02, size=(n_items + 1, cfg.dim)).astype(dtype)
-        out[0] = 0.0
+        out = rng.normal(0.0, 0.02, size=(n_items + 1, cfg.dim))[1:].astype(dtype)
         out_emb = Tensor(out, requires_grad=True)
     return ModelParams(embedding=Tensor(emb, requires_grad=True), layers=layers, out_embedding=out_emb)
 
@@ -101,7 +100,7 @@ def named_tensors(obj, prefix: str = ""):
 
 
 def embed(params: ModelParams, item_ids: np.ndarray) -> Tensor:
-    """Gather embedding rows for an id matrix [B, N]; padding id 0 maps to zeros."""
+    """Embed an id matrix [B, N]: id k reads row k - 1, and padding id 0 reads zeros."""
     return ad.embedding(params.embedding, np.asarray(item_ids))
 
 
@@ -127,12 +126,11 @@ def score(
 ) -> Tensor:
     """Logits [B, K] over the K real items (column j scores item id j + 1).
 
-    The padding row is excluded, so it can never be ranked or targeted.
+    Padding has no row, so it can never be ranked or targeted.
     """
     rep = encode(params, batch, opts, rng=rng)  # left-padding puts the newest item last
     table = params.embedding if params.out_embedding is None else params.out_embedding
-    items = ad.index(table, np.s_[1:])  # drop padding row
-    return ad.matmul(rep, ad.transpose(items))
+    return ad.matmul(rep, ad.transpose(table))
 
 
 def batch_loss(
@@ -196,7 +194,7 @@ def load_checkpoint(path) -> tuple[ModelParams, RunConfig]:
     stored = {k[len("param:") :]: a for k, a in arrays.items() if k.startswith("param:")}
     if stored["embedding"].ndim != 2:
         raise ConfigError(f"checkpoint {path}: embedding must be 2-D, got shape {stored['embedding'].shape}")
-    params = init_model_params(cfg, stored["embedding"].shape[0] - 1, np.random.default_rng(0))
+    params = init_model_params(cfg, stored["embedding"].shape[0], np.random.default_rng(0))
     named = dict(named_tensors(params))
     missing = sorted(named.keys() - stored.keys())
     unexpected = sorted(stored.keys() - named.keys())

@@ -170,8 +170,6 @@ def train_model(cfg: RunConfig, split: SplitDataset, params: ModelParams | None 
                 raise NumericError(f"loss became non-finite at epoch {epoch}, batch {step}, lr {cfg.lr}")
             opt.zero_grad()
             tape.backward(loss)
-            if params.embedding.grad is not None:
-                params.embedding.grad[0, :] = 0.0  # padding row stays frozen
             opt.step()
             losses.append(float(loss.data))
         row: dict = {"epoch": epoch, "train_loss": sum(losses) / max(len(losses), 1)}

@@ -8,10 +8,12 @@ from mambarec.autodiff import Tape, Tensor
 
 
 def finite_diff(fn, tensor: Tensor, eps: float = 1e-5, entries=None) -> dict[int, float]:
-    """Central finite differences of scalar ``fn()`` at selected flat entries.
+    """Fourth-order central finite differences of scalar ``fn()`` at selected flat entries.
 
-    ``fn`` must re-evaluate the forward pass from current tensor values and
-    return a python float. Runs outside any tape.
+    The five-point stencil ``(-f(x+2h) + 8f(x+h) - 8f(x-h) + f(x-2h)) / 12h``
+    has O(h^4) truncation error, so curvature in ``fn`` does not read as a
+    gradient mismatch. ``fn`` must re-evaluate the forward pass from current
+    tensor values and return a python float. Runs outside any tape.
     """
     flat = tensor.data.reshape(-1)
     if entries is None:
@@ -19,12 +21,12 @@ def finite_diff(fn, tensor: Tensor, eps: float = 1e-5, entries=None) -> dict[int
     out = {}
     for i in entries:
         orig = flat[i]
-        flat[i] = orig + eps
-        fp = fn()
-        flat[i] = orig - eps
-        fm = fn()
+        f = {}
+        for k in (2, 1, -1, -2):
+            flat[i] = orig + k * eps
+            f[k] = fn()
         flat[i] = orig
-        out[int(i)] = (fp - fm) / (2.0 * eps)
+        out[int(i)] = (-f[2] + 8.0 * f[1] - 8.0 * f[-1] + f[-2]) / (12.0 * eps)
     return out
 
 
@@ -37,7 +39,7 @@ def check_grads(
     max_entries: int | None = None,
     seed: int = 0,
 ) -> float:
-    """Compare tape gradients of scalar ``fn()`` against central differences.
+    """Compare tape gradients of scalar ``fn()`` against fourth-order central differences.
 
     Asserts the max relative error over all probed entries with gradient
     magnitude above ``grad_floor`` stays below ``tol``. Discrepancies smaller

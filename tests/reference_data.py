@@ -98,6 +98,9 @@ def ingest(path) -> list[InteractionSequence]:
         missing = required - set(reader.fieldnames)
         if missing:
             raise DataError(f"{path}: header missing columns {sorted(missing)}")
+        for name in ("user_id", "item_id", "timestamp", "rating"):
+            if reader.fieldnames.count(name) > 1:  # DictReader would keep the last silently
+                raise DataError(f"{path}:1: header names column {name!r} twice")
         has_rating = "rating" in reader.fieldnames
         end = reader.line_num  # the last line of the records read so far
         for row in _records(reader):

@@ -179,12 +179,26 @@ def test_cross_entropy_gradients():
 
 def test_embedding_gradient_counts_occurrences():
     table = Tensor(np.random.default_rng(1).normal(size=(4, 3)), requires_grad=True)
-    ids = np.array([[1, 1, 2], [3, 1, 2]])
+    ids = np.array([[1, 1, 2], [3, 1, 2]]) + 1  # id k reads row k - 1
     with Tape() as tape:
         out = ad.embedding(table, ids).sum()
     tape.backward(out)
     counts = np.array([0.0, 3.0, 2.0, 1.0])
     np.testing.assert_allclose(table.grad, counts[:, None] * np.ones((1, 3)))
+
+
+def test_embedding_padding_id_reads_zero_and_passes_no_gradient():
+    table = Tensor(np.random.default_rng(2).normal(size=(3, 2)), requires_grad=True)
+    ids = np.array([[0, 3, 0, 1]])
+    w = np.arange(1.0, 9.0).reshape(1, 4, 2)  # a nonzero gradient at every position, padding included
+    with Tape() as tape:
+        out = ad.embedding(table, ids)
+        loss = ad.mul(out, Tensor(w)).sum()
+    tape.backward(loss)
+    np.testing.assert_array_equal(out.data[0], [[0.0, 0.0], table.data[2], [0.0, 0.0], table.data[0]])
+    np.testing.assert_array_equal(table.grad, [w[0, 3], [0.0, 0.0], w[0, 1]])
+    with pytest.raises(IndexError):
+        ad.embedding(table, np.array([4]))
 
 
 def test_sum_of_leaf_gives_ones():

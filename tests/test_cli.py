@@ -197,17 +197,30 @@ def _v1_arrays(params):
     return v1
 
 
+def _v2_arrays(params):
+    """The parameters as v2 stored them: each item table led by an all-zero padding row."""
+    return {
+        name: np.concatenate([np.zeros_like(t.data[:1]), t.data]) if name.endswith("embedding") else t.data
+        for name, t in named_tensors(params)
+    }
+
+
 def test_eval_refuses_a_v1_checkpoint_naming_its_format(tmp_path, capsys):
+    """v1 and v2 checkpoints (older layouts) both exit 2 naming their format."""
     cfg = RunConfig(dim=8, d_state=2, conv_width=2)
-    v1 = _v1_arrays(init_model_params(cfg, 8, np.random.default_rng(0)))
+    params = init_model_params(cfg, 8, np.random.default_rng(0))
+    v1 = _v1_arrays(params)
     assert "layers.0.gru.update_w" in v1 and "layers.0.mamba_fwd.in_proj" in v1
-    ckpt = tmp_path / "v1.npz"
-    np.savez(ckpt, __format__=np.array("mambarec-checkpoint-v1"), __config__=np.array(json.dumps(cfg.to_dict())),
-             **{f"param:{name}": a for name, a in v1.items()})
-    rc = main(["eval", "--out", str(tmp_path / "ev"), "--checkpoint", str(ckpt)])
-    err = capsys.readouterr().err
-    assert rc == 2
-    assert "'mambarec-checkpoint-v1'" in err and str(ckpt) in err and "Traceback" not in err
+    v2 = _v2_arrays(params)
+    assert v2["embedding"].shape == (9, 8)
+    for version, arrays in (("v1", v1), ("v2", v2)):
+        ckpt = tmp_path / f"{version}.npz"
+        np.savez(ckpt, __format__=np.array(f"mambarec-checkpoint-{version}"),
+                 __config__=np.array(json.dumps(cfg.to_dict())), **{f"param:{name}": a for name, a in arrays.items()})
+        rc = main(["eval", "--out", str(tmp_path / f"ev-{version}"), "--checkpoint", str(ckpt)])
+        err = capsys.readouterr().err
+        assert rc == 2, version
+        assert f"'mambarec-checkpoint-{version}'" in err and str(ckpt) in err and "Traceback" not in err
 
 
 def test_eval_of_a_checkpoint_with_a_nan_parameter_is_numeric_error(tmp_path, prepared, capsys):
@@ -252,6 +265,17 @@ def test_prepare_on_an_unterminated_quote_is_data_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert rc == 3
     assert "quote.tsv:3: quoted field does not close on its line" in err and "Traceback" not in err
+    assert not (tmp_path / "x" / "split.json").exists()
+
+
+def test_prepare_on_a_header_naming_a_column_twice_is_data_error(tmp_path, capsys):
+    # read silently, the items would be ordered by the last timestamp column
+    tsv = tmp_path / "twice.tsv"
+    tsv.write_text("user_id\titem_id\ttimestamp\ttimestamp\nu0\ti0\t0\t9\nu0\ti1\t1\t8\n", encoding="utf-8")
+    rc = main(["prepare", "--out", str(tmp_path / "x"), "--data", str(tsv), "--min-len", "1"])
+    err = capsys.readouterr().err
+    assert rc == 3
+    assert "twice.tsv:1: header names column 'timestamp' twice" in err and "Traceback" not in err
     assert not (tmp_path / "x" / "split.json").exists()
 
 
@@ -366,6 +390,10 @@ def _corrupt_split(payload, case):
         del payload["splits"]
     elif case == "user-without-group":
         del payload["groups"][str(payload["splits"]["test"][0][0])]
+    elif case in ("user-zero", "user-above-range"):  # grouped, so only the range check can catch it
+        user = 0 if case == "user-zero" else len(payload["user_ids"]) + 1
+        payload["splits"]["test"][0][0] = user
+        payload["groups"][str(user)] = "Short"
     elif case == "max-len-zero":
         payload["max_len"] = 0
     elif case == "max-len-true":
@@ -375,7 +403,8 @@ def _corrupt_split(payload, case):
 @pytest.mark.parametrize(
     "case",
     ["input-above-catalog", "input-negative", "target-above-catalog", "target-zero", "string-id",
-     "empty-inputs", "no-splits", "user-without-group", "max-len-zero", "max-len-true"],
+     "empty-inputs", "no-splits", "user-without-group", "user-zero", "user-above-range", "max-len-zero",
+     "max-len-true"],
 )
 @pytest.mark.parametrize("command", ["train", "eval"])
 def test_malformed_split_is_data_error(tmp_path, capsys, trained, command, case):

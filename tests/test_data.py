@@ -84,6 +84,19 @@ def test_ingest_missing_columns(tmp_path):
         ingest(path)
 
 
+@pytest.mark.parametrize("column", ["user_id", "item_id", "timestamp", "rating"])
+def test_ingest_rejects_a_header_naming_a_read_column_twice(tmp_path, column):
+    path = _write(tmp_path, f"user_id\titem_id\ttimestamp\trating\t{column}\nu0\ti0\t0\t1\t2\n")
+    for read in ingest, reference_data.ingest:
+        with pytest.raises(DataError, match=f"data.tsv:1: header names column '{column}' twice"):
+            read(path)
+
+
+def test_ingest_reads_a_header_naming_an_unread_column_twice(tmp_path):
+    path = _write(tmp_path, "user_id\tnote\titem_id\ttimestamp\tnote\nu0\ta\ti0\t0\tb\n")
+    assert ingest(path).item_ids == ["i0"]
+
+
 def test_ingest_roundtrip_through_tsv(tmp_path):
     seqs = [_seq("u1", ["a", "b", "c"]), _seq("u2", ["b", "a"])]
     out = tmp_path / "echo.tsv"

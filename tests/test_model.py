@@ -50,18 +50,25 @@ def _batch(ids, targets, max_len=6):
     return Batch(ids, lengths, np.asarray(targets), np.arange(1, ids.shape[0] + 1))
 
 
-def test_embedding_padding_row_is_zero():
-    cfg = _cfg()
+@pytest.mark.parametrize("tie_output", [True, False])
+def test_item_tables_hold_only_items_and_padding_embeds_as_zero(tie_output):
+    cfg = _cfg(tie_output=tie_output)
     params = init_model_params(cfg, n_items=5, rng=np.random.default_rng(0))
-    np.testing.assert_array_equal(params.embedding.data[0], np.zeros(cfg.dim))
-    out = embed(params, np.zeros((2, 6), dtype=np.int64))
-    np.testing.assert_array_equal(out.data, np.zeros((2, 6, cfg.dim)))
+    assert params.n_items == 5
+    tables = [t for name, t in named_tensors(params) if name.endswith("embedding")]
+    assert [t.shape for t in tables] == [(5, cfg.dim)] * (1 if tie_output else 2)
+    # the table draws a row 0 and drops it, so a seed's later draws stay where they were
+    np.testing.assert_array_equal(tables[0].data, np.random.default_rng(0).normal(0.0, 0.02, size=(6, cfg.dim))[1:])
+    out = embed(params, np.array([[0, 0, 1, 0, 5, 0]]))
+    np.testing.assert_array_equal(out.data[0, [0, 1, 3, 5]], np.zeros((4, cfg.dim)))
+    assert not np.signbit(out.data[0, [0, 1, 3, 5]]).any()  # +0.0, not a masked -0.0
+    np.testing.assert_array_equal(out.data[0, [2, 4]], params.embedding.data[[0, 4]])
 
 
 def test_embedding_one_hot_rows():
     params = init_model_params(_cfg(), n_items=5, rng=np.random.default_rng(1))
     out = embed(params, np.array([[3]]))
-    np.testing.assert_array_equal(out.data[0, 0], params.embedding.data[3])
+    np.testing.assert_array_equal(out.data[0, 0], params.embedding.data[2])
 
 
 def test_score_zero_representation_gives_zero_logits():
@@ -87,17 +94,16 @@ def test_score_matches_bruteforce_dot_products():
     logits = score(params, batch, opts).data
     for b in range(2):
         for k in range(6):
-            expected = float(rep[b] @ params.embedding.data[k + 1])
+            expected = float(rep[b] @ params.embedding.data[k])
             assert logits[b, k] == pytest.approx(expected, rel=1e-12, abs=1e-12)
 
 
 def test_score_self_match_under_orthonormal_embeddings():
     cfg = _cfg(n_layers=1)
     params = init_model_params(cfg, n_items=8, rng=np.random.default_rng(4))
-    params.embedding.data[1:] = np.eye(8)
-    rep = Tensor(params.embedding.data[4:5].copy())
-    table = ad.index(params.embedding, np.s_[1:9])
-    logits = ad.matmul(rep, ad.transpose(table))
+    params.embedding.data[:] = np.eye(8)
+    rep = Tensor(params.embedding.data[3:4].copy())
+    logits = ad.matmul(rep, ad.transpose(params.embedding))
     assert int(np.argmax(logits.data[0])) == 3  # item id 4 lives in column 3
 
 
@@ -155,7 +161,7 @@ def test_tied_weights_share_storage():
     batch = _batch([[0, 0, 0, 0, 1, 2]], [1])
     opts = layer_options(cfg)
     before = score(params, batch, opts).data.copy()
-    params.embedding.data[3, 0] += 1.0  # one storage: scorer must move too
+    params.embedding.data[2, 0] += 1.0  # one storage: scorer must move too
     after = score(params, batch, opts).data
     assert abs(after[0, 2] - before[0, 2]) > 1e-9
 
@@ -167,7 +173,7 @@ def test_untied_output_table():
     batch = _batch([[0, 0, 0, 0, 1, 2]], [1])
     opts = layer_options(cfg)
     before = score(params, batch, opts).data.copy()
-    params.embedding.data[3, 0] += 1.0  # input table only; scorer unaffected
+    params.embedding.data[2, 0] += 1.0  # input table only; scorer unaffected
     after = score(params, batch, opts).data
     assert after[0, 2] == pytest.approx(before[0, 2], rel=1e-12)
 
@@ -196,7 +202,7 @@ def test_model_gradients_reach_every_parameter():
 def _full_encoder_loss(params, batch, opts, rng):
     """Logits and loss read from the last column of the full encoder output."""
     h = encoder_stack(embed(params, batch.items), params.layers, batch.lengths, opts, rng=rng)
-    logits = ad.matmul(ad.index(h, np.s_[:, -1]), ad.transpose(ad.index(params.embedding, np.s_[1:])))
+    logits = ad.matmul(ad.index(h, np.s_[:, -1]), ad.transpose(params.embedding))
     return logits, ad.softmax_cross_entropy(logits, batch.targets - 1)
 
 
@@ -216,7 +222,6 @@ def test_read_column_encoder_matches_the_full_encoder(overrides):
     rng = np.random.default_rng(12)
     for _, t in named_tensors(params):  # off the initial scale, so every branch shows in the logits
         t.data += rng.normal(0.0, 0.2, size=t.shape)
-    params.embedding.data[0] = 0.0
     width = cfg.max_len
     lengths = np.minimum([width, width - 1, 0, 1, 2, 6], width)
     items = rng.integers(1, 21, size=(lengths.size, width))

@@ -9,7 +9,7 @@ from mambarec.config import RunConfig
 from mambarec.data import make_batch, split_leave_one_out
 from mambarec.errors import NumericError
 from mambarec.metrics import OVERALL, EvalReport
-from mambarec.model import batch_loss, init_model_params, layer_options, named_tensors
+from mambarec.model import batch_loss, embed, init_model_params, layer_options, named_tensors
 from mambarec.train import Adam, evaluate_split, seeded_rngs, train_model
 
 
@@ -149,7 +149,6 @@ def test_loss_decreases_on_fixed_batch():
         losses.append(float(loss.data))
         opt.zero_grad()
         tape.backward(loss)
-        params.embedding.grad[0, :] = 0.0
         opt.step()
     increases = sum(1 for a, b in zip(losses, losses[1:]) if b >= a)
     assert increases <= 1, losses
@@ -164,13 +163,14 @@ def test_seed_isolation_dropout_does_not_change_init():
 
 
 @pytest.mark.parametrize("tie_output", [True, False])
-def test_padding_row_never_moves(tie_output):
+def test_trained_tables_hold_only_items_and_padding_embeds_as_zero(tie_output):
     split = _cyclic_split()
     cfg = _cfg(epochs=2, tie_output=tie_output)
     result = train_model(cfg, split)
-    np.testing.assert_array_equal(result.params.embedding.data[0], np.zeros(cfg.dim))
-    if not tie_output:
-        np.testing.assert_array_equal(result.params.out_embedding.data[0], np.zeros(cfg.dim))
+    tables = [t for name, t in named_tensors(result.params) if name.endswith("embedding")]
+    assert [t.shape for t in tables] == [(split.n_items, cfg.dim)] * (1 if tie_output else 2)
+    out = embed(result.params, np.zeros((2, split.max_len), dtype=np.int64))
+    np.testing.assert_array_equal(out.data, np.zeros((2, split.max_len, cfg.dim)))
 
 
 def test_early_stopping_keeps_best_checkpoint():
