@@ -34,7 +34,6 @@ __all__ = [
     "tsum",
     "transpose",
     "index",
-    "take_along_time",
     "embedding",
     "conv1d_depthwise",
     "layernorm",
@@ -282,33 +281,13 @@ def transpose(a: Tensor) -> Tensor:
 
 
 def index(a: Tensor, key) -> Tensor:
-    """Basic-index read ``a.data[key]`` (ints, slices, ``...``), copied so it never aliases ``a``."""
+    """Read ``a.data[key]``, copied so it never aliases ``a``. ``key`` is basic (ints, slices, ``...``) or holds
+    integer arrays, e.g. ``(rows[:, None], cols)``, that name no element twice, since the backward assigns."""
     out = a.data[key].copy()
 
     def bwd(g):
         full = np.zeros_like(a.data)
         full[key] = g
-        return (full,)
-
-    return _make(out, (a,), bwd)
-
-
-def take_along_time(a: Tensor, index: np.ndarray) -> Tensor:
-    """Gather along axis 1 with a per-row index map: ``out[b, t] = a[b, index[b, t]]``.
-
-    ``index`` is [B, L], or [B] to take one position per row (``out[b] =
-    a[b, index[b]]``). The backward pass scatter-adds, so the op stays correct
-    even when the map is not a permutation.
-    """
-    index = np.asarray(index)
-    if index.shape not in (a.shape[:2], a.shape[:1]):
-        raise ShapeError(f"take_along_time: index shape {index.shape} != leading dims of {a.shape}")
-    rows = np.arange(a.shape[0]).reshape((-1,) + (1,) * (index.ndim - 1))
-    out = a.data[rows, index]
-
-    def bwd(g):
-        full = np.zeros_like(a.data)
-        np.add.at(full, (rows, index), g)
         return (full,)
 
     return _make(out, (a,), bwd)

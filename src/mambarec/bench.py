@@ -105,7 +105,7 @@ def run_bench(
     attn = init_attention_params(rng, cfg.dim, dtype)
     opts = layer_options(cfg)
     cases = []  # (model, length, forward)
-    for n in sorted(lengths):
+    for n in sorted(set(lengths)):
         x = rng.normal(0.0, 1.0, size=(batch, n, cfg.dim)).astype(dtype)
         lens = np.full(batch, n, dtype=np.int64)
         cases.append(("encoder", n, partial(encoder_stack, Tensor(x), layers, lens, opts)))

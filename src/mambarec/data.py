@@ -201,13 +201,16 @@ def _read_columns(path, reader) -> tuple:
         raise DataError(f"{path}:1: header names column {twice[0]!r} twice")
     u_col, i_col, t_col, r_col = col["user_id"], col["item_id"], col["timestamp"], col.get("rating", -1)
     width = max(u_col, i_col, t_col) + 1
-    blank = 0  # one line each for the header, a row and a blank line, unless a quoted field runs on past its line
+    if reader.line_num > 1:  # a quoted field in the header ran on past its line
+        raise DataError(f"{path}:1: quoted field does not close on its line")
+    line = 1  # the first line of the record being read
     try:
         for row in reader:
+            line += 1
+            if reader.line_num > line:  # a quoted field ran on past its line
+                break
             if not row:
-                blank += 1
                 continue
-            line = reader.line_num
             if len(row) < width or not row[u_col] or not row[i_col] or not row[t_col]:
                 raise DataError(f"{path}:{line}: incomplete row")
             ts_raw = row[t_col]
@@ -228,23 +231,12 @@ def _read_columns(path, reader) -> tuple:
             rating.append(r)
             user.append(user_index.setdefault(row[u_col], len(user_index)))
             item.append(item_index.setdefault(row[i_col], len(item_index)))
-    except DataError:
-        if reader.line_num == 2 + len(user) + blank:  # the failing row, and each before it, took one line
-            raise
-    except csv.Error as err:  # a field longer than csv.field_size_limit()
-        if reader.line_num == 2 + len(user) + blank:
-            raise DataError(f"{path}:{reader.line_num}: {err}") from None
-    if reader.line_num > 1 + len(user) + blank:  # a quoted field ran on past its line: name the record's first line
-        with open(path, newline="", encoding="utf-8-sig") as fh:
-            again = csv.reader(fh, delimiter="\t")
-            ends = [0]
-            try:
-                for _ in again:
-                    ends.append(again.line_num)
-            except csv.Error:  # the record that failed above, which runs on to the line the reader stopped at
-                ends.append(again.line_num)
-        start = next(end + 1 for end, next_end in zip(ends, ends[1:]) if next_end > end + 1)
-        raise DataError(f"{path}:{start}: quoted field does not close on its line")
+    except csv.Error as err:  # a field longer than csv.field_size_limit(), in the record after the last one read
+        line += 1
+        if reader.line_num == line:
+            raise DataError(f"{path}:{line}: {err}") from None
+    if reader.line_num > line:
+        raise DataError(f"{path}:{line}: quoted field does not close on its line")
     return list(user_index), user, list(item_index), item, timestamp, rating
 
 

@@ -159,7 +159,7 @@ def flip_index(lengths: np.ndarray, keep_last: int, width: int) -> np.ndarray:
 
 def partial_flip(x: Tensor, lengths: np.ndarray, keep_last: int) -> Tensor:
     """Partially flip each row of ``x`` [B, L, D] within its true-length region."""
-    return ad.take_along_time(x, flip_index(lengths, keep_last, x.shape[1]))
+    return ad.index(x, (np.arange(x.shape[0])[:, None], flip_index(lengths, keep_last, x.shape[1])))
 
 
 # ---------------------------------------------------------------------------

@@ -316,7 +316,7 @@ def mamba_forward(
     d_state = p.d_state
 
     u = ad.matmul(x, p.in_u)
-    z = ad.matmul(x if at is None else ad.take_along_time(x, at), p.in_z)
+    z = ad.matmul(x if at is None else ad.index(x, (np.arange(x.shape[0]), at)), p.in_z)
 
     u = ad.silu(ad.conv1d_depthwise(u, p.conv_kernel, p.conv_bias))
 

@@ -101,6 +101,8 @@ def ingest(path) -> list[InteractionSequence]:
         for name in ("user_id", "item_id", "timestamp", "rating"):
             if reader.fieldnames.count(name) > 1:  # DictReader would keep the last silently
                 raise DataError(f"{path}:1: header names column {name!r} twice")
+        if reader.line_num > 1:
+            raise DataError(f"{path}:1: quoted field does not close on its line")
         has_rating = "rating" in reader.fieldnames
         end = reader.line_num  # the last line of the records read so far
         for row in _records(reader):

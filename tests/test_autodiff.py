@@ -273,17 +273,18 @@ def test_shape_ops_gradients():
     def fn():
         a = ad.index(x, np.s_[..., 1:3])
         b = ad.index(x, np.s_[:, 2])
-        c = ad.take_along_time(a, np.tile(np.arange(4)[::-1], (2, 1)))
-        return ad.add(ad.mul(c, c).sum(), ad.mul(b, b).sum())
+        c = ad.index(a, (np.arange(2)[:, None], np.tile(np.arange(4)[::-1], (2, 1))))
+        d = ad.index(x, (np.arange(2), np.array([3, 1])))  # one step per row
+        return ad.add(ad.add(ad.mul(c, c).sum(), ad.mul(b, b).sum()), ad.mul(d, d).sum())
 
     check_grads(fn, [("x", x)], tol=1e-6)
 
 
-def test_take_along_time_gather_and_scatter():
+def test_index_with_a_per_row_map_gathers_and_scatters():
     x = Tensor(np.arange(12.0).reshape(1, 4, 3), requires_grad=True)
     idx = np.array([[3, 2, 1, 0]])
     with Tape() as tape:
-        y = ad.take_along_time(x, idx)
+        y = ad.index(x, (np.arange(1)[:, None], idx))
         loss = ad.mul(y, Tensor(np.arange(12.0).reshape(1, 4, 3))).sum()
     np.testing.assert_array_equal(y.data, x.data[:, ::-1, :])
     tape.backward(loss)

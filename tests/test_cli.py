@@ -1,6 +1,7 @@
 """Command surface: prepare/train/eval/ablate/bench/sweep plus ablation wiring."""
 
 import argparse
+import csv
 import json
 import os
 import subprocess
@@ -348,12 +349,14 @@ def test_sweep_rejects_a_flag_for_the_swept_field(tmp_path, prepared, capsys, pa
 
 
 def test_bench_runs_and_reports_ratios(tmp_path, capsys):
-    rc = main(["bench", "--out", str(tmp_path / "b"), "--lengths", "8,16", "--batch", "2",
+    rc = main(["bench", "--out", str(tmp_path / "b"), "--lengths", "16,8,16", "--batch", "2",
                "--dim", "8", "--d-state", "2", "--reps", "1", "--warmup", "0"])
     assert rc == 0
     out = capsys.readouterr().out
     assert "encoder: time(16) / time(8)" in out
-    assert (tmp_path / "b" / "bench.csv").exists()
+    with open(tmp_path / "b" / "bench.csv", newline="", encoding="utf-8") as fh:
+        rows = [(r["model"], r["length"]) for r in csv.DictReader(fh)]
+    assert sorted(rows) == [("attention", "16"), ("attention", "8"), ("encoder", "16"), ("encoder", "8")]
 
 
 def test_bench_empty_lengths_is_usage_error(tmp_path):

@@ -131,6 +131,13 @@ def test_ingest_rejects_a_record_over_more_than_one_line(tmp_path, text, line):
             read(path)
 
 
+def test_ingest_rejects_a_header_over_more_than_one_line(tmp_path):
+    path = _write(tmp_path, 'user_id\t"note\nmore"\titem_id\ttimestamp\nu0\ti0\t0\n')
+    for read in ingest, reference_data.ingest:
+        with pytest.raises(DataError, match="data.tsv:1: quoted field does not close on its line"):
+            read(path)
+
+
 @pytest.mark.parametrize("text, line", [
     ("user_id\titem_id\ttimestamp\nu0\ti0\t0\nu1\t" + "x" * 200_000 + "\t1\nu2\ti2\t2\n", 3),
     ("user_id\t" + "x" * 200_000 + "\titem_id\ttimestamp\nu0\ti0\t0\n", 1),

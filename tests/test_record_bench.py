@@ -1,9 +1,10 @@
-"""The benchmark-trajectory aggregator, fed hand-written per-run records, and the tree naming (no benchmark runs)."""
+"""The benchmark-trajectory aggregator, fed hand-written per-run records, the tree naming and the label check (no benchmark runs)."""
 
 import subprocess
 
 import pytest
 
+from tools import record_bench
 from tools.record_bench import Refused, aggregate, tree_state
 
 SHA = "a" * 40
@@ -71,3 +72,15 @@ def test_a_dirty_tree_is_named_by_its_content_and_left_as_it_was(tmp_path, monke
     assert git("show", f"{state['content_sha']}:scan.py") == "steps = 8"
     assert (tmp_path / "scan.py").read_text() == "steps = 8\n"
     assert git("status", "--porcelain") == status and git("stash", "list") == ""
+
+
+@pytest.mark.parametrize("label", ["a/b", ""])
+def test_a_label_that_is_not_a_file_name_part_is_refused_before_any_run(label, monkeypatch, capsys):
+    def no_run(*args):
+        raise AssertionError("a benchmark ran")
+
+    monkeypatch.setattr(record_bench, "_run", no_run)
+    with pytest.raises(SystemExit) as exc:
+        record_bench.main(["--label", label, "--seeds", "1"])
+    assert exc.value.code == 2
+    assert "--label must be non-empty and hold no path separator" in capsys.readouterr().err

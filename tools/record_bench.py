@@ -89,6 +89,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.seeds < 1:
         parser.error("--seeds must be at least 1")
+    if not args.label or "/" in args.label or os.sep in args.label:  # else only the write fails, after every run
+        parser.error(f"--label must be non-empty and hold no path separator, got {args.label!r}")
 
     root = Path(_git(Path.cwd(), "rev-parse", "--show-toplevel"))
     tree = tree_state(root)
