@@ -32,7 +32,6 @@ __all__ = [
     "gelu",
     "softplus",
     "tsum",
-    "transpose",
     "index",
     "embedding",
     "conv1d_depthwise",
@@ -275,15 +274,12 @@ def tsum(a: Tensor) -> Tensor:
     return _make(out, (a,), lambda g: (np.broadcast_to(g, a.shape).astype(a.dtype, copy=False),))
 
 
-def transpose(a: Tensor) -> Tensor:
-    """Swap the last two axes."""
-    return _make(np.swapaxes(a.data, -1, -2), (a,), lambda g: (np.swapaxes(g, -1, -2),))
-
-
 def index(a: Tensor, key) -> Tensor:
-    """Read ``a.data[key]``, copied so it never aliases ``a``. ``key`` is basic (ints, slices, ``...``) or holds
+    """Read ``a.data[key]``, never aliasing ``a``. ``key`` is basic (ints, slices, ``...``) or holds
     integer arrays, e.g. ``(rows[:, None], cols)``, that name no element twice, since the backward assigns."""
-    out = a.data[key].copy()
+    out = a.data[key]
+    if np.may_share_memory(out, a.data):  # a basic key reads a view; an integer-array key reads a new array
+        out = out.copy()
 
     def bwd(g):
         full = np.zeros_like(a.data)
@@ -294,18 +290,18 @@ def index(a: Tensor, key) -> Tensor:
 
 
 def embedding(table: Tensor, ids: np.ndarray) -> Tensor:
-    """Row gather over ids in [0, K]: id k >= 1 reads ``table[k - 1]``; padding id 0 reads zeros, no gradient."""
+    """Column gather over ids in [0, K] from a [D, K] table: id k >= 1 reads column k - 1; id 0 reads zeros, no gradient."""
     ids = np.asarray(ids)
-    if ids.size and (ids.min() < 0 or ids.max() > table.shape[0]):
-        raise IndexError(f"embedding ids outside [0, {table.shape[0]}]")
+    if ids.size and (ids.min() < 0 or ids.max() > table.shape[1]):
+        raise IndexError(f"embedding ids outside [0, {table.shape[1]}]")
     real = ids > 0
-    rows = ids[real] - 1
-    out = np.zeros(ids.shape + table.shape[1:], dtype=table.dtype)
-    out[real] = table.data[rows]
+    cols = ids[real] - 1
+    out = np.zeros(ids.shape + table.shape[:1], dtype=table.dtype)
+    out[real] = table.data[:, cols].T
 
     def bwd(g):
         gt = np.zeros_like(table.data)
-        np.add.at(gt, rows, g[real])
+        np.add.at(gt.T, cols, g[real])
         return (gt,)
 
     return _make(out, (table,), bwd)

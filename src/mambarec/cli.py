@@ -165,15 +165,16 @@ ABLATION_VARIANTS = tuple(
 def _tabulate_variants(cfg: RunConfig, out: Path, column: str, variants, title: str, csv_name: str) -> int:
     """Train and test-evaluate ``cfg`` under each ``(value, overrides)`` variant; one CSV row per variant.
 
-    ``title`` is the format string that labels each variant's stdout line. ``config.json`` records the
-    config the first variant ran; each row ran it with that row's own overrides.
+    ``title`` is the format string that labels each variant's stdout line. Every variant's config is
+    built, and so checked, before any trains. ``config.json`` records the config the first variant ran;
+    each row ran it with that row's own overrides.
     """
     cfg, split = _load_split_arg(cfg)
-    cfg.replace(**variants[0][1]).dump(out / "config.json")
+    configs = [cfg.replace(**overrides) for _, overrides in variants]
+    configs[0].dump(out / "config.json")
     path = out / csv_name
     rows = []
-    for value, overrides in variants:
-        variant_cfg = cfg.replace(**overrides)
+    for (value, _), variant_cfg in zip(variants, configs):
         result = train_model(variant_cfg, split)
         report = evaluate_split(result.params, variant_cfg, split, "test")
         rows.append({column: value, **{f"{m}@10": report.get(m) for m in METRICS}})

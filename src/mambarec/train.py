@@ -113,10 +113,13 @@ def evaluate_split(
 ) -> EvalReport:
     """Rank every held-out item over the full catalog and aggregate by group.
 
-    Non-finite scores raise ``NumericError`` naming the split and the first such user.
+    Non-finite scores raise ``NumericError`` naming the split and the first such user. A split
+    with no rows is a ``DataError``: its zero metrics would read as a measured result.
     """
     if split.n_items != params.n_items:
         raise DataError(f"split has {split.n_items} items but the model scores {params.n_items}")
+    if not split.rows(which):
+        raise DataError(f"the {which} split has no rows to evaluate")
     opts = layer_options(cfg)
     ranks: list[np.ndarray] = []
     groups: list[str] = []
@@ -128,8 +131,7 @@ def evaluate_split(
             raise NumericError(f"non-finite scores in the {which} split, first for user {user}")
         ranks.append(rank_targets_batch(logits, batch.targets - 1))
         groups.extend(split.groups[int(u)] for u in batch.users)
-    all_ranks = np.concatenate(ranks) if ranks else np.zeros(0, dtype=np.int64)
-    return grouped_report(all_ranks, groups, cutoffs=cutoffs)
+    return grouped_report(np.concatenate(ranks), groups, cutoffs=cutoffs)
 
 
 def _snapshot(params: ModelParams) -> list[np.ndarray]:

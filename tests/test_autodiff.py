@@ -178,25 +178,25 @@ def test_cross_entropy_gradients():
 
 
 def test_embedding_gradient_counts_occurrences():
-    table = Tensor(np.random.default_rng(1).normal(size=(4, 3)), requires_grad=True)
-    ids = np.array([[1, 1, 2], [3, 1, 2]]) + 1  # id k reads row k - 1
+    table = Tensor(np.random.default_rng(1).normal(size=(3, 4)), requires_grad=True)
+    ids = np.array([[1, 1, 2], [3, 1, 2]]) + 1  # id k reads column k - 1
     with Tape() as tape:
         out = ad.embedding(table, ids).sum()
     tape.backward(out)
     counts = np.array([0.0, 3.0, 2.0, 1.0])
-    np.testing.assert_allclose(table.grad, counts[:, None] * np.ones((1, 3)))
+    np.testing.assert_allclose(table.grad, np.ones((3, 1)) * counts[None, :])
 
 
 def test_embedding_padding_id_reads_zero_and_passes_no_gradient():
-    table = Tensor(np.random.default_rng(2).normal(size=(3, 2)), requires_grad=True)
+    table = Tensor(np.random.default_rng(2).normal(size=(2, 3)), requires_grad=True)
     ids = np.array([[0, 3, 0, 1]])
     w = np.arange(1.0, 9.0).reshape(1, 4, 2)  # a nonzero gradient at every position, padding included
     with Tape() as tape:
         out = ad.embedding(table, ids)
         loss = ad.mul(out, Tensor(w)).sum()
     tape.backward(loss)
-    np.testing.assert_array_equal(out.data[0], [[0.0, 0.0], table.data[2], [0.0, 0.0], table.data[0]])
-    np.testing.assert_array_equal(table.grad, [w[0, 3], [0.0, 0.0], w[0, 1]])
+    np.testing.assert_array_equal(out.data[0], [[0.0, 0.0], table.data[:, 2], [0.0, 0.0], table.data[:, 0]])
+    np.testing.assert_array_equal(table.grad, np.array([w[0, 3], [0.0, 0.0], w[0, 1]]).T)
     with pytest.raises(IndexError):
         ad.embedding(table, np.array([4]))
 
@@ -289,6 +289,17 @@ def test_index_with_a_per_row_map_gathers_and_scatters():
     np.testing.assert_array_equal(y.data, x.data[:, ::-1, :])
     tape.backward(loss)
     np.testing.assert_array_equal(x.grad, np.arange(12.0).reshape(1, 4, 3)[:, ::-1, :])
+
+
+def test_index_reads_never_alias_their_input():
+    """A basic read (a view) is copied and an integer-array read is a new array: both keep their values."""
+    x = Tensor(np.arange(12.0).reshape(1, 4, 3))
+    last = ad.index(x, np.s_[:, -1])
+    flipped = ad.index(x, (np.arange(1)[:, None], np.array([[3, 2, 1, 0]])))
+    expected_last, expected_flipped = x.data[:, -1].copy(), x.data[:, ::-1].copy()
+    x.data[...] = -1.0
+    np.testing.assert_array_equal(last.data, expected_last)
+    np.testing.assert_array_equal(flipped.data, expected_flipped)
 
 
 def test_determinism_identical_inputs():

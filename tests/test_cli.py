@@ -128,6 +128,21 @@ def test_eval_on_a_split_with_another_catalog_is_data_error(tmp_path, prepared, 
     assert f"split has {catalog} items but the model scores 8" in capsys.readouterr().err
 
 
+def test_eval_of_a_split_with_no_rows_is_data_error(tmp_path, capsys):
+    tsv = _write_tsv(tmp_path / "three.tsv", length=3)  # every user has 3 items, so no training rows
+    main(["prepare", "--out", str(tmp_path / "prep"), "--data", str(tsv), "--min-len", "1", "--max-len", "7"])
+    split_path = tmp_path / "prep" / "split.json"
+    cfg = RunConfig(dim=8, d_state=2, conv_width=2, max_len=7, min_len=1, data=str(split_path))
+    save_checkpoint(tmp_path / "ckpt.npz", init_model_params(cfg, 8, np.random.default_rng(0)), cfg.to_dict())
+    capsys.readouterr()
+    ev = tmp_path / "ev"
+    rc = main(["eval", "--out", str(ev), "--checkpoint", str(tmp_path / "ckpt.npz"), "--split", "train"])
+    err = capsys.readouterr().err
+    assert rc == 3
+    assert "the train split has no rows" in err and "Traceback" not in err
+    assert not list(ev.glob("train_metrics.*"))
+
+
 def test_eval_on_a_checkpoint_that_disagrees_with_its_config_is_config_error(tmp_path, prepared, capsys):
     cfg = RunConfig(dim=8, d_state=2, conv_width=2, max_len=7, min_len=1, data=str(prepared))
     ckpt = tmp_path / "ckpt.npz"
@@ -198,23 +213,28 @@ def _v1_arrays(params):
     return v1
 
 
+def _v3_arrays(params):
+    """The parameters as v3 stored them: each item table [n_items, D], item id k at row k - 1."""
+    return {name: t.data.T if name.endswith("embedding") else t.data for name, t in named_tensors(params)}
+
+
 def _v2_arrays(params):
-    """The parameters as v2 stored them: each item table led by an all-zero padding row."""
+    """The parameters as v2 stored them: each v3 item table led by an all-zero padding row."""
     return {
-        name: np.concatenate([np.zeros_like(t.data[:1]), t.data]) if name.endswith("embedding") else t.data
-        for name, t in named_tensors(params)
+        name: np.concatenate([np.zeros_like(a[:1]), a]) if name.endswith("embedding") else a
+        for name, a in _v3_arrays(params).items()
     }
 
 
 def test_eval_refuses_a_v1_checkpoint_naming_its_format(tmp_path, capsys):
-    """v1 and v2 checkpoints (older layouts) both exit 2 naming their format."""
+    """v1, v2 and v3 checkpoints (older layouts) all exit 2 naming their format."""
     cfg = RunConfig(dim=8, d_state=2, conv_width=2)
     params = init_model_params(cfg, 8, np.random.default_rng(0))
     v1 = _v1_arrays(params)
     assert "layers.0.gru.update_w" in v1 and "layers.0.mamba_fwd.in_proj" in v1
     v2 = _v2_arrays(params)
     assert v2["embedding"].shape == (9, 8)
-    for version, arrays in (("v1", v1), ("v2", v2)):
+    for version, arrays in (("v1", v1), ("v2", v2), ("v3", _v3_arrays(params))):
         ckpt = tmp_path / f"{version}.npz"
         np.savez(ckpt, __format__=np.array(f"mambarec-checkpoint-{version}"),
                  __config__=np.array(json.dumps(cfg.to_dict())), **{f"param:{name}": a for name, a in arrays.items()})
@@ -337,6 +357,19 @@ def test_sweep_rejects_unknown_param(tmp_path, prepared):
     rc = main(["sweep", "--out", str(tmp_path / "s"), "--data", str(prepared),
                "--param", "nonsense", "--values", "1"])
     assert rc == 2
+
+
+def test_sweep_checks_every_value_before_it_trains(tmp_path, prepared, capsys, monkeypatch):
+    def no_training(*args):
+        raise AssertionError("a variant trained")
+
+    monkeypatch.setattr("mambarec.cli.train_model", no_training)
+    out = tmp_path / "s"
+    rc = main(["sweep", "--out", str(out), "--data", str(prepared), "--param", "dropout", "--values", "0.1,0.2,1.0"])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "dropout must be in [0, 1)" in err and "Traceback" not in err
+    assert not (out / "sweep.csv").exists()
 
 
 @pytest.mark.parametrize("param, flag", [("lr", "--lr"), ("flip_keep", "--flip-keep")])

@@ -2,6 +2,7 @@
 
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -56,19 +57,19 @@ def test_item_tables_hold_only_items_and_padding_embeds_as_zero(tie_output):
     params = init_model_params(cfg, n_items=5, rng=np.random.default_rng(0))
     assert params.n_items == 5
     tables = [t for name, t in named_tensors(params) if name.endswith("embedding")]
-    assert [t.shape for t in tables] == [(5, cfg.dim)] * (1 if tie_output else 2)
-    # the table draws a row 0 and drops it, so a seed's later draws stay where they were
-    np.testing.assert_array_equal(tables[0].data, np.random.default_rng(0).normal(0.0, 0.02, size=(6, cfg.dim))[1:])
+    assert [t.shape for t in tables] == [(cfg.dim, 5)] * (1 if tie_output else 2)
+    # the table draws [6, D], drops row 0 and stores it as [D, 5], so a seed's later draws stay where they were
+    np.testing.assert_array_equal(tables[0].data, np.random.default_rng(0).normal(0.0, 0.02, size=(6, cfg.dim))[1:].T)
     out = embed(params, np.array([[0, 0, 1, 0, 5, 0]]))
     np.testing.assert_array_equal(out.data[0, [0, 1, 3, 5]], np.zeros((4, cfg.dim)))
     assert not np.signbit(out.data[0, [0, 1, 3, 5]]).any()  # +0.0, not a masked -0.0
-    np.testing.assert_array_equal(out.data[0, [2, 4]], params.embedding.data[[0, 4]])
+    np.testing.assert_array_equal(out.data[0, [2, 4]], params.embedding.data[:, [0, 4]].T)
 
 
 def test_embedding_one_hot_rows():
     params = init_model_params(_cfg(), n_items=5, rng=np.random.default_rng(1))
     out = embed(params, np.array([[3]]))
-    np.testing.assert_array_equal(out.data[0, 0], params.embedding.data[2])
+    np.testing.assert_array_equal(out.data[0, 0], params.embedding.data[:, 2])
 
 
 def test_score_zero_representation_gives_zero_logits():
@@ -94,7 +95,7 @@ def test_score_matches_bruteforce_dot_products():
     logits = score(params, batch, opts).data
     for b in range(2):
         for k in range(6):
-            expected = float(rep[b] @ params.embedding.data[k])
+            expected = float(rep[b] @ params.embedding.data[:, k])
             assert logits[b, k] == pytest.approx(expected, rel=1e-12, abs=1e-12)
 
 
@@ -102,8 +103,8 @@ def test_score_self_match_under_orthonormal_embeddings():
     cfg = _cfg(n_layers=1)
     params = init_model_params(cfg, n_items=8, rng=np.random.default_rng(4))
     params.embedding.data[:] = np.eye(8)
-    rep = Tensor(params.embedding.data[3:4].copy())
-    logits = ad.matmul(rep, ad.transpose(params.embedding))
+    rep = Tensor(params.embedding.data[:, 3:4].T.copy())
+    logits = ad.matmul(rep, params.embedding)
     assert int(np.argmax(logits.data[0])) == 3  # item id 4 lives in column 3
 
 
@@ -161,7 +162,7 @@ def test_tied_weights_share_storage():
     batch = _batch([[0, 0, 0, 0, 1, 2]], [1])
     opts = layer_options(cfg)
     before = score(params, batch, opts).data.copy()
-    params.embedding.data[2, 0] += 1.0  # one storage: scorer must move too
+    params.embedding.data[0, 2] += 1.0  # one storage: scorer must move too
     after = score(params, batch, opts).data
     assert abs(after[0, 2] - before[0, 2]) > 1e-9
 
@@ -173,9 +174,24 @@ def test_untied_output_table():
     batch = _batch([[0, 0, 0, 0, 1, 2]], [1])
     opts = layer_options(cfg)
     before = score(params, batch, opts).data.copy()
-    params.embedding.data[2, 0] += 1.0  # input table only; scorer unaffected
+    params.embedding.data[0, 2] += 1.0  # input table only; scorer unaffected
     after = score(params, batch, opts).data
     assert after[0, 2] == pytest.approx(before[0, 2], rel=1e-12)
+
+
+def test_an_untaped_score_does_not_copy_the_item_table():
+    """score multiplies by the stored [D, n_items] table, so its allocation peak is about the
+    logits (an eighth of the table at D = 8), not the table again."""
+    cfg = _cfg()
+    params = init_model_params(cfg, n_items=200_000, rng=np.random.default_rng(0))
+    batch = _batch([[0, 0, 0, 1, 2, 3]], [4])
+    tracemalloc.start()
+    try:
+        score(params, batch, layer_options(cfg))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < params.embedding.data.nbytes / 2, f"peak {peak} bytes, table {params.embedding.data.nbytes}"
 
 
 def test_appending_item_advances_target_position():
@@ -202,7 +218,7 @@ def test_model_gradients_reach_every_parameter():
 def _full_encoder_loss(params, batch, opts, rng):
     """Logits and loss read from the last column of the full encoder output."""
     h = encoder_stack(embed(params, batch.items), params.layers, batch.lengths, opts, rng=rng)
-    logits = ad.matmul(ad.index(h, np.s_[:, -1]), ad.transpose(params.embedding))
+    logits = ad.matmul(ad.index(h, np.s_[:, -1]), params.embedding)
     return logits, ad.softmax_cross_entropy(logits, batch.targets - 1)
 
 

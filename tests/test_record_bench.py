@@ -84,3 +84,16 @@ def test_a_label_that_is_not_a_file_name_part_is_refused_before_any_run(label, m
         record_bench.main(["--label", label, "--seeds", "1"])
     assert exc.value.code == 2
     assert "--label must be non-empty and hold no path separator" in capsys.readouterr().err
+
+
+def test_outside_a_git_checkout_it_exits_2_before_any_run(tmp_path, monkeypatch, capsys):
+    def no_run(*args):
+        raise AssertionError("a benchmark ran")
+
+    monkeypatch.setattr(record_bench, "_run", no_run)
+    monkeypatch.setenv("GIT_CEILING_DIRECTORIES", str(tmp_path.parent))  # git looks no higher than tmp_path
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        record_bench.main(["--label", "x", "--seeds", "1"])
+    assert exc.value.code == 2
+    assert "is not in a git checkout" in capsys.readouterr().err

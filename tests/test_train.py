@@ -168,7 +168,7 @@ def test_trained_tables_hold_only_items_and_padding_embeds_as_zero(tie_output):
     cfg = _cfg(epochs=2, tie_output=tie_output)
     result = train_model(cfg, split)
     tables = [t for name, t in named_tensors(result.params) if name.endswith("embedding")]
-    assert [t.shape for t in tables] == [(split.n_items, cfg.dim)] * (1 if tie_output else 2)
+    assert [t.shape for t in tables] == [(cfg.dim, split.n_items)] * (1 if tie_output else 2)
     out = embed(result.params, np.zeros((2, split.max_len), dtype=np.int64))
     np.testing.assert_array_equal(out.data, np.zeros((2, split.max_len, cfg.dim)))
 

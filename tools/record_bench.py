@@ -92,7 +92,10 @@ def main(argv=None) -> int:
     if not args.label or "/" in args.label or os.sep in args.label:  # else only the write fails, after every run
         parser.error(f"--label must be non-empty and hold no path separator, got {args.label!r}")
 
-    root = Path(_git(Path.cwd(), "rev-parse", "--show-toplevel"))
+    try:
+        root = Path(_git(Path.cwd(), "rev-parse", "--show-toplevel"))
+    except subprocess.CalledProcessError:
+        parser.error(f"{Path.cwd()} is not in a git checkout; run from the checkout to measure")
     tree = tree_state(root)
     bench = json.loads((root / "BENCHMARK.json").read_text(encoding="utf-8"))
     workloads, seconds = [w["name"] for w in bench["workloads"]], bench["run_seconds"]
